@@ -1,6 +1,10 @@
 package distsearch
 
 import (
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -172,5 +176,20 @@ func TestShardBatch(t *testing.T) {
 	}
 	if lo != 8 {
 		t.Fatalf("shards cover [0,%d), want [0,8)", lo)
+	}
+}
+
+// TestWorkerNonFiniteReplyIs500: a score reply that cannot be encoded (a
+// NaN score) answers 500 with errCodeEncode, never an empty 200 the
+// coordinator would read as a truncated success.
+func TestWorkerNonFiniteReplyIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, scoreResponse{Fingerprint: "f", Scores: []float64{0.5, math.NaN()}})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var er errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Code != errCodeEncode {
+		t.Fatalf("reply %q (%v), want code %q", rec.Body.String(), err, errCodeEncode)
 	}
 }

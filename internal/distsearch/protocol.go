@@ -52,6 +52,8 @@ const (
 	errCodeBadRequest = "bad-request"
 	// errCodeScore marks a scoring failure on an installed job.
 	errCodeScore = "score-failed"
+	// errCodeEncode marks a reply that could not be encoded as JSON.
+	errCodeEncode = "encode-failed"
 )
 
 // errUnknownJob is the transport-level rendering of errCodeUnknownJob.

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/httpjson"
 	"repro/internal/mkl"
 	"repro/internal/partition"
 )
@@ -75,14 +76,17 @@ func (w *WorkerServer) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON answers with v, or with a 500 errCodeEncode reply when v
+// cannot be encoded (a non-finite score, say).
 func writeJSON(rw http.ResponseWriter, status int, v any) {
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(status)
-	json.NewEncoder(rw).Encode(v)
+	if err := httpjson.Write(rw, status, v); err != nil {
+		writeError(rw, http.StatusInternalServerError, errCodeEncode, err.Error())
+	}
 }
 
 func writeError(rw http.ResponseWriter, status int, code, msg string) {
-	writeJSON(rw, status, errorResponse{Code: code, Error: msg})
+	// An errorResponse holds only strings, which always encode.
+	_ = httpjson.Write(rw, status, errorResponse{Code: code, Error: msg})
 }
 
 func (w *WorkerServer) handleHealthz(rw http.ResponseWriter, r *http.Request) {

@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"repro/internal/kernel"
+	"repro/internal/linalg"
 	"repro/internal/partition"
 )
 
@@ -151,6 +152,8 @@ func (c *Dense32) computeBlock(base kernel.Kernel, feats []int) *M32 {
 // gramInto32 fills dst with the block kernel's Gram through the native f32
 // routines, reporting false (dst unspecified) when the kernel type has no
 // native path.
+//
+//iotml:hotpath
 func (c *Dense32) gramInto32(dst *M32, k kernel.Kernel, feats []int) bool {
 	switch kk := k.(type) {
 	case kernel.Linear:
@@ -170,17 +173,38 @@ func (c *Dense32) gramInto32(dst *M32, k kernel.Kernel, feats []int) bool {
 		}
 		return true
 	case kernel.RBF:
+		// One pass over the upper triangle — dot product, distance clamped
+		// then rounded to float32, exp — then a banded mirror: the same
+		// expressions in the same order as the pairwise-distance-then-exp
+		// build, so the block is bit-identical to it.
 		x := c.blockMatrix(feats)
-		PairwiseSquaredDistances32(dst, x)
-		n := x.Rows
+		n, d := x.Rows, x.Cols
+		norms := make([]float64, n)
 		for i := 0; i < n; i++ {
-			dst.Data[i*n+i] = 1
+			s := 0.0
+			for _, v := range x.Data[i*d : (i+1)*d] {
+				s += float64(v) * float64(v)
+			}
+			norms[i] = s
+		}
+		for i := 0; i < n; i++ {
+			ri := x.Data[i*d : (i+1)*d]
+			row := dst.Data[i*n : (i+1)*n]
+			row[i] = 1
 			for j := i + 1; j < n; j++ {
-				v := float32(math.Exp(-kk.Gamma * float64(dst.Data[i*n+j])))
-				dst.Data[i*n+j] = v
-				dst.Data[j*n+i] = v
+				rj := x.Data[j*d : (j+1)*d]
+				dot := 0.0
+				for k, v := range ri {
+					dot += float64(v) * float64(rj[k])
+				}
+				dist := norms[i] + norms[j] - 2*dot
+				if dist < 0 {
+					dist = 0
+				}
+				row[j] = float32(math.Exp(-kk.Gamma * float64(float32(dist))))
 			}
 		}
+		linalg.MirrorUpper(dst.Data, n)
 		return true
 	case kernel.Normalized:
 		if !c.gramInto32(dst, kk.Base, feats) {
@@ -208,26 +232,22 @@ func (c *Dense32) gramInto32(dst *M32, k kernel.Kernel, feats []int) bool {
 }
 
 // Scratch32 holds the reusable per-caller buffers of
-// GramForPartitionScratch. The zero value is ready; a scratch belongs to
-// one goroutine — each worker evaluator owns its own while sharing the
-// concurrency-safe cache.
+// GramForPartitionScratch and AlignmentForPartitionScratch. The zero value
+// is ready; a scratch belongs to one goroutine — each worker evaluator owns
+// its own while sharing the concurrency-safe cache.
 type Scratch32 struct {
 	feats  []int
 	keyBuf []byte
 	grams  []*M32
+	data   [][]float32
 }
 
-// GramForPartitionScratch assembles the full float32 Gram of the
-// multiple-kernel configuration induced by p from the cached per-block
-// Grams, writing into out (reshaped) and returning it. Blocks are combined
-// in partition.Blocks() order with float64 per-entry accumulation —
-// weighted sum with weight 1/numBlocks, or product — mirroring the float64
-// cache's assembly so the two backends differ only by f32 rounding.
+// partitionBlocks gathers the cached float32 Gram of every block of p into
+// sc.grams in partition.Blocks() order, allocation-free once every block
+// is cached (the RGS scan and byte-slice keys of the float64 cache).
 //
 //iotml:hotpath
-func (c *Dense32) GramForPartitionScratch(p partition.Partition, combiner kernel.Combiner, out *M32, sc *Scratch32) *M32 {
-	n := len(c.x)
-	out = Reshape32(out, n, n)
+func (c *Dense32) partitionBlocks(p partition.Partition, sc *Scratch32) []*M32 {
 	d := p.N()
 	sc.grams = sc.grams[:0]
 	for b := 0; b < p.NumBlocks(); b++ {
@@ -246,7 +266,21 @@ func (c *Dense32) GramForPartitionScratch(p partition.Partition, combiner kernel
 		}
 		sc.grams = append(sc.grams, c.blockGram(sc.keyBuf, sc.feats))
 	}
-	grams := sc.grams
+	return sc.grams
+}
+
+// GramForPartitionScratch assembles the full float32 Gram of the
+// multiple-kernel configuration induced by p from the cached per-block
+// Grams, writing into out (reshaped) and returning it. Blocks are combined
+// in partition.Blocks() order with float64 per-entry accumulation —
+// weighted sum with weight 1/numBlocks, or product — mirroring the float64
+// cache's assembly so the two backends differ only by f32 rounding.
+//
+//iotml:hotpath
+func (c *Dense32) GramForPartitionScratch(p partition.Partition, combiner kernel.Combiner, out *M32, sc *Scratch32) *M32 {
+	n := len(c.x)
+	out = Reshape32(out, n, n)
+	grams := c.partitionBlocks(p, sc)
 	if combiner == kernel.CombineProduct {
 		for i := 0; i < n*n; i++ {
 			acc := 1.0
@@ -266,6 +300,21 @@ func (c *Dense32) GramForPartitionScratch(p partition.Partition, combiner kernel
 		out.Data[i] = float32(acc)
 	}
 	return out
+}
+
+// AlignmentForPartitionScratch returns the centred kernel-target alignment
+// of the CombineSum configuration induced by p against labels y, read
+// straight from the cached float32 blocks by kernel.CenteredAlignment
+// (weight 1/numBlocks, float64 accumulation) — no Gram is assembled, so
+// the combined entries never round to float32.
+//
+//iotml:hotpath
+func (c *Dense32) AlignmentForPartitionScratch(p partition.Partition, y []int, sc *Scratch32, as *kernel.AlignScratch) float64 {
+	sc.data = sc.data[:0]
+	for _, g := range c.partitionBlocks(p, sc) {
+		sc.data = append(sc.data, g.Data)
+	}
+	return kernel.CenteredAlignment(sc.data, 1/float64(len(sc.data)), y, as)
 }
 
 // Solver32 is the factor/solve scratch of the Float32 backend: one ridge

@@ -1,8 +1,8 @@
-// Float32 numeric primitives: the storage type and the SYRK / distance /
-// Cholesky / substitution kernels of the Float32 backend. Storage is
-// float32 — halving the memory traffic of the Gram-bound scoring loop is
-// the backend's entire win — while every inner accumulation runs in
-// float64, so rounding enters only at the final store. This keeps the
+// Float32 numeric primitives: the storage type and the SYRK / Cholesky /
+// substitution kernels of the Float32 backend. Storage is float32 —
+// halving the memory traffic of the Gram-bound scoring loop is the
+// backend's entire win — while every inner accumulation runs in float64,
+// so rounding enters only at the final store. This keeps the
 // elementwise error of an assembled Gram within the backend's tolerance
 // contract (|K32 − K64| ≤ 1e-4 · max(1, |K64|)) instead of compounding
 // across n-term sums.
@@ -96,42 +96,6 @@ func Syrk32(dst, x *M32) *M32 {
 				s += float64(v) * float64(rj[k])
 			}
 			f := float32(s)
-			dst.Data[i*n+j] = f
-			dst.Data[j*n+i] = f
-		}
-	}
-	return dst
-}
-
-// PairwiseSquaredDistances32 computes ‖xᵢ − xⱼ‖² for all row pairs via the
-// ‖xᵢ‖² + ‖xⱼ‖² − 2⟨xᵢ,xⱼ⟩ expansion with float64 accumulation, writing
-// float32 results into dst (reshaped) and returning it. Cancellation
-// residue is clamped at zero and the diagonal is exactly zero.
-func PairwiseSquaredDistances32(dst, x *M32) *M32 {
-	n, d := x.Rows, x.Cols
-	dst = Reshape32(dst, n, n)
-	norms := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for _, v := range x.Data[i*d : (i+1)*d] {
-			s += float64(v) * float64(v)
-		}
-		norms[i] = s
-	}
-	for i := 0; i < n; i++ {
-		ri := x.Data[i*d : (i+1)*d]
-		dst.Data[i*n+i] = 0
-		for j := i + 1; j < n; j++ {
-			rj := x.Data[j*d : (j+1)*d]
-			dot := 0.0
-			for k, v := range ri {
-				dot += float64(v) * float64(rj[k])
-			}
-			v := norms[i] + norms[j] - 2*dot
-			if v < 0 {
-				v = 0
-			}
-			f := float32(v)
 			dst.Data[i*n+j] = f
 			dst.Data[j*n+i] = f
 		}
@@ -257,7 +221,9 @@ func Scores32Into(dst []float64, cross *M32, coeff []float32) []float64 {
 
 // Center32 applies the feature-space centering transform
 // K' = K − 1K/n − K1/n + 1K1/n² in place, with the row means and total
-// accumulated in float64 — the f32 twin of kernel.Center.
+// accumulated in float64 — the f32 twin of kernel.Center. With Alignment32
+// it is the materialised reference of the fused alignment pass
+// (Dense32.AlignmentForPartitionScratch).
 func Center32(g *M32) {
 	n := g.Rows
 	if n == 0 {

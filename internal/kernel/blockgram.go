@@ -11,11 +11,19 @@
 //     Eval (linalg.SyrkInto / GemmNTInto).
 //   - RBF uses the ‖x‖² + ‖y‖² − 2⟨x,y⟩ distance expansion, which reorders
 //     floating-point operations: entries agree with the pairwise path to
-//     1e-9 elementwise (diagonals are exact). Strict reproduction runs can
+//     1e-9 elementwise (diagonals are exact). The one-pass block build is
+//     bit-identical to linalg.PairwiseSquaredDistancesInto followed by exp. Strict reproduction runs can
 //     force the pairwise path everywhere with GramPairwise /
 //     CrossGramPairwise (the mkl.Config.ExactGram knob).
 //   - Wrappers (Subspace, Normalized, Sum, Product) inherit the guarantee
 //     of their operands: combination order matches Eval exactly.
+//   - Centred kernel-target alignment scores come from the fused pass
+//     (CenteredAlignment, align.go), which reads the block Grams without
+//     assembling or centring a copy: within 1e-12 relative of the
+//     materialised Center + Alignment oracle, and bit-identical whether the
+//     blocks come from a BlockGramCache or an assembled Gram (cache on or
+//     off) and at every worker count. Block builds themselves are
+//     unchanged bit for bit by the fused pass.
 package kernel
 
 import (
@@ -92,19 +100,36 @@ func (p Polynomial) CrossGramInto(dst, a, b *linalg.Matrix) bool {
 }
 
 // GramInto implements BlockGramKernel: exp(−γ·dist²) over the pairwise
-// squared-distance expansion. Within 1e-9 of the pairwise path (diagonals
-// exactly 1).
+// squared-distance expansion ‖xᵢ‖² + ‖xⱼ‖² − 2⟨xᵢ,xⱼ⟩ (clamped at zero).
+// One pass computes the dot product, the distance and the exp into the
+// upper triangle, then linalg.MirrorUpper fills the lower triangle. The
+// expressions and their order are those of
+// linalg.PairwiseSquaredDistancesInto followed by exp, so the block is
+// bit-identical to that three-pass build. Within 1e-9 of the pairwise path
+// (diagonals exactly 1).
+//
+//iotml:hotpath
 func (r RBF) GramInto(dst, x *linalg.Matrix) bool {
-	linalg.PairwiseSquaredDistancesInto(dst, x)
-	n := x.Rows
+	n, d := x.Rows, x.Cols
+	norms := linalg.RowSquaredNorms(nil, x)
 	for i := 0; i < n; i++ {
-		dst.Data[i*n+i] = 1
+		ri := x.Data[i*d : (i+1)*d]
+		row := dst.Data[i*n : (i+1)*n]
+		row[i] = 1
 		for j := i + 1; j < n; j++ {
-			v := math.Exp(-r.Gamma * dst.Data[i*n+j])
-			dst.Data[i*n+j] = v
-			dst.Data[j*n+i] = v
+			rj := x.Data[j*d : (j+1)*d]
+			dot := 0.0
+			for k, v := range ri {
+				dot += v * rj[k]
+			}
+			dist := norms[i] + norms[j] - 2*dot
+			if dist < 0 {
+				dist = 0
+			}
+			row[j] = math.Exp(-r.Gamma * dist)
 		}
 	}
+	linalg.MirrorUpper(dst.Data, n)
 	return true
 }
 

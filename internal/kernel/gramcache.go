@@ -209,14 +209,16 @@ func (c *BlockGramCache) blockGram(key []byte, feats []int) *linalg.Matrix {
 }
 
 // AssemblyScratch holds the reusable per-caller buffers of
-// GramForPartitionScratch (feature lists, block keys, and the gathered
-// per-block Gram pointers). The zero value is ready; a scratch belongs to
-// one goroutine — each worker evaluator of a parallel search owns its own
-// while sharing the concurrency-safe cache.
+// GramForPartitionScratch and AlignmentForPartitionScratch (feature lists,
+// block keys, the gathered per-block Grams and their data slices). The zero
+// value is ready; a scratch belongs to one goroutine — each worker
+// evaluator of a parallel search owns its own while sharing the
+// concurrency-safe cache.
 type AssemblyScratch struct {
 	feats  []int
 	keyBuf []byte
 	grams  []*linalg.Matrix
+	data   [][]float64
 }
 
 // GramForPartition assembles the full Gram matrix of the multiple-kernel
@@ -233,19 +235,13 @@ func (c *BlockGramCache) GramForPartition(p partition.Partition, combiner Combin
 	return c.GramForPartitionScratch(p, combiner, out, &sc)
 }
 
-// GramForPartitionScratch is GramForPartition with caller-owned scratch:
-// once every block of p is cached, assembling a candidate's Gram performs
-// no allocation at all (block features are re-derived into the scratch
-// buffers by an RGS scan that reproduces partition.Blocks() order — block
-// index ascending, elements ascending — and cache lookups use byte-slice
-// keys). It is the per-candidate path of the mkl evaluators.
+// partitionBlocks gathers the cached Gram of every block of p into
+// sc.grams, in partition.Blocks() order (block index ascending, elements
+// ascending), re-deriving each block's features by an RGS scan and looking
+// it up by a byte-slice key, so a fully cached partition allocates nothing.
 //
 //iotml:hotpath
-func (c *BlockGramCache) GramForPartitionScratch(p partition.Partition, combiner Combiner, out *linalg.Matrix, sc *AssemblyScratch) *linalg.Matrix {
-	n := len(c.x)
-	if out == nil || out.Rows != n || out.Cols != n {
-		out = linalg.NewMatrix(n, n)
-	}
+func (c *BlockGramCache) partitionBlocks(p partition.Partition, sc *AssemblyScratch) []*linalg.Matrix {
 	d := p.N()
 	sc.grams = sc.grams[:0]
 	for b := 0; b < p.NumBlocks(); b++ {
@@ -264,7 +260,21 @@ func (c *BlockGramCache) GramForPartitionScratch(p partition.Partition, combiner
 		}
 		sc.grams = append(sc.grams, c.blockGram(sc.keyBuf, sc.feats))
 	}
-	grams := sc.grams
+	return sc.grams
+}
+
+// GramForPartitionScratch is GramForPartition with caller-owned scratch:
+// once every block of p is cached, assembling a candidate's Gram performs
+// no allocation at all. It is the per-candidate path of the mkl evaluators
+// for objectives that need the assembled matrix.
+//
+//iotml:hotpath
+func (c *BlockGramCache) GramForPartitionScratch(p partition.Partition, combiner Combiner, out *linalg.Matrix, sc *AssemblyScratch) *linalg.Matrix {
+	n := len(c.x)
+	if out == nil || out.Rows != n || out.Cols != n {
+		out = linalg.NewMatrix(n, n)
+	}
+	grams := c.partitionBlocks(p, sc)
 	if combiner == CombineProduct {
 		for i := 0; i < n*n; i++ {
 			acc := 1.0
@@ -284,4 +294,19 @@ func (c *BlockGramCache) GramForPartitionScratch(p partition.Partition, combiner
 		out.Data[i] = acc
 	}
 	return out
+}
+
+// AlignmentForPartitionScratch returns the centred kernel-target alignment
+// of the CombineSum configuration induced by p against labels y, read
+// straight from the cached blocks by CenteredAlignment with weight
+// 1/numBlocks — no Gram is assembled. The score is bit-identical to
+// CenteredAlignment over the GramForPartitionScratch output with weight 1.
+//
+//iotml:hotpath
+func (c *BlockGramCache) AlignmentForPartitionScratch(p partition.Partition, y []int, sc *AssemblyScratch, as *AlignScratch) float64 {
+	sc.data = sc.data[:0]
+	for _, g := range c.partitionBlocks(p, sc) {
+		sc.data = append(sc.data, g.Data)
+	}
+	return CenteredAlignment(sc.data, 1/float64(len(sc.data)), y, as)
 }

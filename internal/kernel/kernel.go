@@ -267,7 +267,9 @@ func CrossGramPairwise(k Kernel, a, b [][]float64) *linalg.Matrix {
 }
 
 // Center applies the feature-space centering transform
-// K' = K - 1K/n - K1/n + 1K1/n² in place.
+// K' = K - 1K/n - K1/n + 1K1/n² in place. With Alignment it is the
+// materialised reference of CenteredAlignment, which the search scores
+// through.
 func Center(g *linalg.Matrix) {
 	n := g.Rows
 	if n == 0 {

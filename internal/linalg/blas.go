@@ -192,6 +192,28 @@ func PairwiseSquaredDistancesInto(dst, x *Matrix) *Matrix {
 	return dst
 }
 
+// mirrorBand is the number of source rows MirrorUpper transposes at a
+// time: each destination row then receives one contiguous run of at most
+// mirrorBand entries (one or two cache lines), while the band's source
+// lines stay cache-resident across consecutive destination rows.
+const mirrorBand = 16
+
+// MirrorUpper copies the strict upper triangle of the n×n row-major matrix
+// in data into its lower triangle (data[j*n+i] = data[i*n+j] for j > i),
+// one band of source rows at a time, so neither side of the transpose
+// touches a new cache line per entry.
+func MirrorUpper[T float32 | float64](data []T, n int) {
+	for ib := 0; ib < n; ib += mirrorBand {
+		iEnd := min(ib+mirrorBand, n)
+		for j := ib + 1; j < n; j++ {
+			dst := data[j*n+ib : j*n+min(j, iEnd)]
+			for k := range dst {
+				dst[k] = data[(ib+k)*n+j]
+			}
+		}
+	}
+}
+
 // CrossSquaredDistancesInto computes ‖aᵢ − bⱼ‖² for all row pairs of two
 // matrices via the same expansion as PairwiseSquaredDistancesInto, writing
 // into dst (reallocated if nil or mis-sized) and returning it.

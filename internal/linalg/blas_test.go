@@ -164,3 +164,27 @@ func TestFromRowsCols(t *testing.T) {
 		}
 	}
 }
+
+func TestMirrorUpperCopiesStrictUpperTriangle(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 15, 16, 17, 33, 40} {
+		data := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if j >= i {
+					data[i*n+j] = float64(i*n + j + 1)
+				} else {
+					data[i*n+j] = -1 // overwritten by the mirror
+				}
+			}
+		}
+		MirrorUpper(data, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				want := float64(min(i, j)*n + max(i, j) + 1)
+				if data[i*n+j] != want {
+					t.Fatalf("n=%d (%d,%d) = %v, want %v", n, i, j, data[i*n+j], want)
+				}
+			}
+		}
+	}
+}

@@ -114,8 +114,8 @@ func (e *Evaluator) scoreApprox(p partition.Partition) (float64, error) {
 // factor.
 func (e *Evaluator) alignmentFromFactor(f *linalg.Matrix) float64 {
 	n, r := f.Rows, f.Cols
-	e.centerBuf = linalg.Reshape(e.centerBuf, n, r)
-	copy(e.centerBuf.Data, f.Data)
+	e.lrCentered = linalg.Reshape(e.lrCentered, n, r)
+	copy(e.lrCentered.Data, f.Data)
 	// Column-center in place: lrBeta doubles as the column-mean buffer.
 	if cap(e.lrBeta) < r {
 		e.lrBeta = linalg.NewVector(r)
@@ -125,7 +125,7 @@ func (e *Evaluator) alignmentFromFactor(f *linalg.Matrix) float64 {
 		mean[j] = 0
 	}
 	for i := 0; i < n; i++ {
-		row := e.centerBuf.Data[i*r : (i+1)*r]
+		row := e.lrCentered.Data[i*r : (i+1)*r]
 		for j, v := range row {
 			mean[j] += v
 		}
@@ -134,19 +134,19 @@ func (e *Evaluator) alignmentFromFactor(f *linalg.Matrix) float64 {
 		mean[j] /= float64(n)
 	}
 	for i := 0; i < n; i++ {
-		row := e.centerBuf.Data[i*r : (i+1)*r]
+		row := e.lrCentered.Data[i*r : (i+1)*r]
 		for j := range row {
 			row[j] -= mean[j]
 		}
 	}
 	// ⟨K̃, yyᵀ⟩ = ‖F̃ᵀy‖².
-	e.lrRhs = linalg.MulTVecInto(e.lrRhs, e.centerBuf, e.labelVec())
+	e.lrRhs = linalg.MulTVecInto(e.lrRhs, e.lrCentered, e.labelVec())
 	kyy := 0.0
 	for _, v := range e.lrRhs {
 		kyy += v * v
 	}
 	// ‖K̃‖_F = ‖F̃ᵀF̃‖_F (same nonzero singular values, squared).
-	e.lrA = linalg.SyrkTInto(e.lrA, e.centerBuf)
+	e.lrA = linalg.SyrkTInto(e.lrA, e.lrCentered)
 	kk := 0.0
 	for _, v := range e.lrA.Data {
 		kk += v * v

@@ -1,9 +1,10 @@
 // The Float32 backend's scoring path: candidate Grams are assembled from
-// the shared f32 block cache (engine.Dense32), centered-alignment and ridge
-// CV run entirely on f32 storage with f64 accumulation, and learners
-// without a native f32 loop (SVM, perceptron) widen the assembled Gram
-// once and reuse the standard f64 CV machinery — so only assembly pays the
-// f32 rounding there.
+// the shared f32 block cache (engine.Dense32), ridge CV runs entirely on
+// f32 storage with f64 accumulation, centred alignment reads the cached
+// f32 blocks directly (kernel.CenteredAlignment) without assembling, and
+// learners without a native f32 loop (SVM, perceptron) widen the
+// assembled Gram once and reuse the standard f64 CV machinery — so only
+// assembly pays the f32 rounding there.
 //
 // Contracts (asserted by the backend-parameterized equivalence suites):
 //
@@ -20,6 +21,7 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
+	"repro/internal/kernel"
 	"repro/internal/kernelmachine"
 	"repro/internal/partition"
 	"repro/internal/stats"
@@ -27,25 +29,21 @@ import (
 
 // scoreF32 is the cache-miss scoring body of the Float32 backend.
 func (e *Evaluator) scoreF32(p partition.Partition) (float64, error) {
-	e.g32 = e.d32.GramForPartitionScratch(p, e.cfg.Combiner, e.g32, &e.sc32)
-	switch e.cfg.Objective {
-	case KernelAlignment:
-		// Center into the worker-owned f32 scratch (centering mutates, and
-		// g32 is reused across candidates), then align with f64 sums —
-		// mirroring the f64 objective's centerBuf dance.
-		e.center32 = engine.Reshape32(e.center32, e.g32.Rows, e.g32.Cols)
-		copy(e.center32.Data, e.g32.Data)
-		engine.Center32(e.center32)
-		return engine.Alignment32(e.center32, e.data.Y), nil
-	default:
-		if r, ok := e.cfg.Trainer.(kernelmachine.Ridge); ok {
-			return e.cvAccuracyF32(r)
+	if e.cfg.Objective == KernelAlignment {
+		if e.cfg.Combiner == kernel.CombineSum {
+			return e.d32.AlignmentForPartitionScratch(p, e.data.Y, &e.sc32, &e.align), nil
 		}
-		// No native f32 training loop (SVM's SMO, perceptron): widen the
-		// f32 Gram once and run the standard f64 CV fast path on it.
-		e.gramBuf = engine.Widen(e.gramBuf, e.g32)
-		return e.cvAccuracy(e.gramBuf)
+		e.g32 = e.d32.GramForPartitionScratch(p, e.cfg.Combiner, e.g32, &e.sc32)
+		return kernel.CenteredAlignment([][]float32{e.g32.Data}, 1, e.data.Y, &e.align), nil
 	}
+	e.g32 = e.d32.GramForPartitionScratch(p, e.cfg.Combiner, e.g32, &e.sc32)
+	if r, ok := e.cfg.Trainer.(kernelmachine.Ridge); ok {
+		return e.cvAccuracyF32(r)
+	}
+	// No native f32 training loop (SVM's SMO, perceptron): widen the f32
+	// Gram once and run the standard f64 CV fast path on it.
+	e.gramBuf = engine.Widen(e.gramBuf, e.g32)
+	return e.cvAccuracy(e.gramBuf)
 }
 
 // cvAccuracyF32 runs the evaluator's k-fold CV with the f32 ridge

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/kernelmachine"
 	"repro/internal/partition"
 	"repro/internal/stats"
@@ -138,8 +139,8 @@ func TestClearScoreCache(t *testing.T) {
 }
 
 // TestAlignmentObjectiveScratchCentering: the KernelAlignment objective
-// centers into evaluator scratch; repeated and interleaved scoring must not
-// corrupt the shared Gram buffers.
+// scores through evaluator-owned scratch; repeated and interleaved scoring
+// must not corrupt the shared Gram buffers.
 func TestAlignmentObjectiveScratchCentering(t *testing.T) {
 	d := fastPathWorkload(6)
 	e, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 1})
@@ -167,6 +168,36 @@ func TestAlignmentObjectiveScratchCentering(t *testing.T) {
 		}
 		if s != first[i] {
 			t.Fatalf("re-scoring %v: %v, want %v (scratch corruption?)", p, s, first[i])
+		}
+	}
+}
+
+// TestAlignmentScoreAllocatesNothing: with the block cache warm, a
+// KernelAlignment score after ClearScoreCache runs the fused pass over the
+// cached blocks and allocates nothing, on the f64 and the f32 backend.
+func TestAlignmentScoreAllocatesNothing(t *testing.T) {
+	d := fastPathWorkload(6)
+	ps := []partition.Partition{d.ViewPartition(), partition.Coarsest(d.D()), partition.Finest(d.D())}
+	for _, be := range []engine.Backend{engine.Float64, engine.Float32} {
+		e, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 1, Backend: be})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ps { // warm the block cache and every scratch buffer
+			if _, err := e.Score(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			e.ClearScoreCache()
+			for _, p := range ps {
+				if _, err := e.Score(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: alignment Score allocates %v times per round, want 0", be, allocs)
 		}
 	}
 }

@@ -189,6 +189,11 @@ type Evaluator struct {
 	evals int // cache misses: configurations actually computed
 	calls int // every Score call, cache hits included
 	cache map[string]float64
+	// keyBuf is Score's partition-key scratch, and keys interns every key
+	// Score has seen (ClearScoreCache keeps it), so a score-cache miss on a
+	// partition seen before stores its score without allocating a key.
+	keyBuf []byte
+	keys   map[string]string
 
 	// ctx, when non-nil, bounds every candidate evaluation: once it is
 	// done, Score refuses new work with ctx.Err(), so any search over this
@@ -220,12 +225,11 @@ type Evaluator struct {
 	kmScratch *kernelmachine.Scratch
 	scoreBuf  []float64
 	predBuf   []int
-	// centerBuf is the reusable centering scratch of the KernelAlignment
-	// objective (replacing a per-candidate gram.Clone()).
-	centerBuf *linalg.Matrix
 	// asm is the worker-owned Gram-assembly scratch feeding
-	// kernel.BlockGramCache.GramForPartitionScratch.
-	asm kernel.AssemblyScratch
+	// kernel.BlockGramCache.GramForPartitionScratch, and align the row
+	// buffers of the fused KernelAlignment pass (kernel.CenteredAlignment).
+	asm   kernel.AssemblyScratch
+	align kernel.AlignScratch
 
 	// approxCache memoizes per-block low-rank factors under the
 	// approximate Gram modes (nil under GramExact); like gramCache it is
@@ -236,6 +240,7 @@ type Evaluator struct {
 	approxCache *kernel.ApproxGramCache
 	factorBuf   *linalg.Matrix
 	lrA, lrChol *linalg.Matrix
+	lrCentered  *linalg.Matrix
 	lrRhs       linalg.Vector
 	lrBeta      linalg.Vector
 	lrY         linalg.Vector
@@ -243,12 +248,10 @@ type Evaluator struct {
 
 	// d32 is the Float32 backend's shared per-block f32 Gram cache (nil on
 	// every other backend); the remaining *32 fields are the worker-owned
-	// f32 scratch of that backend — assembled Gram, centering buffer, fold
-	// gathers, assembly scratch, and the ridge factor/solve scratch (see
-	// f32path.go).
+	// f32 scratch of that backend — assembled Gram, fold gathers, assembly
+	// scratch, and the ridge factor/solve scratch (see f32path.go).
 	d32            *engine.Dense32
 	g32            *engine.M32
-	center32       *engine.M32
 	sub32, cross32 *engine.M32
 	sc32           engine.Scratch32
 	solver32       engine.Solver32
@@ -400,10 +403,11 @@ func (e *Evaluator) Score(p partition.Partition) (float64, error) {
 		return 0, fmt.Errorf("mkl: partition over %d features, dataset has %d", p.N(), e.data.D())
 	}
 	e.calls++
-	key := p.Key()
-	if s, ok := e.cache[key]; ok {
+	e.keyBuf = p.AppendKey(e.keyBuf[:0])
+	if s, ok := e.cache[string(e.keyBuf)]; ok {
 		return s, nil
 	}
+	key := e.internKey()
 	if e.shared != nil {
 		if s, ok := e.shared.get(key); ok {
 			if e.cache == nil {
@@ -428,16 +432,39 @@ func (e *Evaluator) Score(p partition.Partition) (float64, error) {
 	return score, nil
 }
 
+// internKey returns e.keyBuf as a string, reusing the string of an earlier
+// Score of the same partition, so re-scoring after ClearScoreCache
+// allocates nothing.
+func (e *Evaluator) internKey() string {
+	if k, ok := e.keys[string(e.keyBuf)]; ok {
+		return k
+	}
+	k := string(e.keyBuf)
+	if e.keys == nil {
+		e.keys = map[string]string{}
+	}
+	e.keys[k] = k
+	return k
+}
+
 // scoreConfig computes the objective value of one kernel configuration —
 // the cache-miss body of Score. Approximate Gram modes route through the
-// low-rank factor path (scoreApprox in approx.go); GramExact runs the
-// original full-Gram assembly, bit-identical to the PR 2/3 reference.
+// low-rank factor path (scoreApprox in approx.go). KernelAlignment over a
+// block cache with CombineSum reads the cached blocks directly
+// (kernel.CenteredAlignment with weight 1/numBlocks); every other exact
+// path assembles the Gram — bit-identical to the pre-fusion reference — and
+// aligns it as a single block with weight 1, so cached, uncached and
+// (linear) ExactGram scores stay bit-identical.
 func (e *Evaluator) scoreConfig(p partition.Partition) (float64, error) {
 	if e.approxCache != nil {
 		return e.scoreApprox(p)
 	}
 	if e.d32 != nil {
 		return e.scoreF32(p)
+	}
+	alignment := e.cfg.Objective == KernelAlignment
+	if alignment && e.gramCache != nil && e.cfg.Combiner == kernel.CombineSum {
+		return e.gramCache.AlignmentForPartitionScratch(p, e.data.Y, &e.asm, &e.align), nil
 	}
 	var gram *linalg.Matrix
 	if e.gramCache != nil {
@@ -459,18 +486,16 @@ func (e *Evaluator) scoreConfig(p partition.Partition) (float64, error) {
 			}
 		}
 	}
-	switch e.cfg.Objective {
-	case KernelAlignment:
-		// Center into the evaluator-owned scratch instead of cloning the
-		// Gram per candidate (centering mutates, and gram may be a shared
-		// cache buffer). Same values, same arithmetic, no allocation.
-		e.centerBuf = linalg.Reshape(e.centerBuf, gram.Rows, gram.Cols)
-		copy(e.centerBuf.Data, gram.Data)
-		kernel.Center(e.centerBuf)
-		return kernel.Alignment(e.centerBuf, e.data.Y), nil
-	default:
-		return e.cvAccuracy(gram)
+	if alignment {
+		return e.alignGram(gram.Data), nil
 	}
+	return e.cvAccuracy(gram)
+}
+
+// alignGram is the centred kernel-target alignment of one materialised
+// n×n Gram: the fused pass over a single block with weight 1.
+func (e *Evaluator) alignGram(g []float64) float64 {
+	return kernel.CenteredAlignment([][]float64{g}, 1, e.data.Y, &e.align)
 }
 
 // cvAccuracy runs k-fold CV re-using one precomputed full Gram matrix.

@@ -106,11 +106,10 @@ func alignmentOrder(e *Evaluator, feats []int) []int {
 
 // singletonAlignment returns the centered kernel-target alignment of the
 // single-feature kernel for 1-based feature f. The singleton block Gram
-// comes from the evaluator's Gram-block cache when one is enabled (copied
-// into the evaluator's reusable centering scratch before centering, since
-// cached matrices are shared read-only); without a cache it goes through
-// the vectorized path over the dataset's extracted column block, unless
-// ExactGram forces the pairwise loop.
+// comes from the evaluator's Gram-block cache when one is enabled (read in
+// place by the fused alignment pass, which never mutates it); without a
+// cache it goes through the vectorized path over the dataset's extracted
+// column block, unless ExactGram forces the pairwise loop.
 func singletonAlignment(e *Evaluator, f int) float64 {
 	if e.approxCache != nil {
 		// Approximate modes rank features on their cached singleton block
@@ -120,23 +119,18 @@ func singletonAlignment(e *Evaluator, f int) float64 {
 			return e.alignmentFromFactor(bf)
 		}
 	}
-	var g *linalg.Matrix
+	feats := []int{f - 1}
 	if e.gramCache != nil {
-		shared := e.gramCache.BlockGram([]int{f - 1})
-		e.centerBuf = linalg.Reshape(e.centerBuf, shared.Rows, shared.Cols)
-		copy(e.centerBuf.Data, shared.Data)
-		g = e.centerBuf
-	} else {
-		feats := []int{f - 1}
-		base := e.cfg.Factory(feats)
-		ok := false
-		if !e.cfg.ExactGram {
-			g, ok = kernel.GramIntoMatrix(nil, base, e.data.BlockMatrix(feats))
-		}
-		if !ok {
-			g = kernel.GramPairwise(kernel.Subspace{Base: base, Features: feats}, e.data.X)
-		}
+		return e.alignGram(e.gramCache.BlockGram(feats).Data)
 	}
-	kernel.Center(g)
-	return kernel.Alignment(g, e.data.Y)
+	base := e.cfg.Factory(feats)
+	var g *linalg.Matrix
+	ok := false
+	if !e.cfg.ExactGram {
+		g, ok = kernel.GramIntoMatrix(nil, base, e.data.BlockMatrix(feats))
+	}
+	if !ok {
+		g = kernel.GramPairwise(kernel.Subspace{Base: base, Features: feats}, e.data.X)
+	}
+	return e.alignGram(g.Data)
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -380,5 +381,30 @@ func TestFingerprintIsStableAndDiscriminating(t *testing.T) {
 	}
 	if bumpedFP == fp {
 		t.Fatal("bias perturbation did not change the fingerprint")
+	}
+}
+
+// TestPredictorRejectsNonFiniteScores: finite inputs can still overflow the
+// kernel arithmetic. With a degree-400 polynomial spec the golden training
+// rows score NaN (±Inf terms cancelling across coefficients); a model of
+// one training row scores +Inf. Both must fail with ErrNonFiniteScore.
+func TestPredictorRejectsNonFiniteScores(t *testing.T) {
+	art := goldenArtifact(t)
+	art.KernelSpec = &kernel.Spec{Kind: kernel.SpecPolynomial, Degree: 400, Gamma: 50, Coef0: 10}
+	rows := make([][]float64, art.NumTrain())
+	for i := range rows {
+		rows[i] = append([]float64(nil), art.TrainX.Row(i)...)
+	}
+	one := *art
+	one.TrainX = linalg.FromRows(rows[:1])
+	one.Coeff = []float64{1}
+	for name, a := range map[string]*Artifact{"NaN": art, "+Inf": &one} {
+		pred, err := NewPredictor(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pred.ScoresInto(nil, rows[:1]); !errors.Is(err, ErrNonFiniteScore) {
+			t.Fatalf("%s: err = %v, want ErrNonFiniteScore", name, err)
+		}
 	}
 }

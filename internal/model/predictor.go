@@ -8,6 +8,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -80,11 +81,17 @@ func (p *Predictor) ValidateRow(row []float64) error {
 	return ValidateRow(p.art.Dim(), row)
 }
 
+// ErrNonFiniteScore reports a batch in which some decision score came out
+// NaN or ±Inf — finite inputs can still overflow the kernel arithmetic
+// (a high-degree polynomial, say). The whole batch is refused.
+var ErrNonFiniteScore = errors.New("model: non-finite decision score")
+
 // ScoresInto scores the given feature rows, writing the decision scores
 // into dst (reused when its capacity suffices) and returning it. Rows are
 // validated (dimensionality, finite values); the whole batch is rejected on
 // the first invalid row, so batches assembled from multiple requests fail
-// atomically before any scoring work.
+// atomically before any scoring work. A batch with a non-finite score
+// returns ErrNonFiniteScore.
 func (p *Predictor) ScoresInto(dst []float64, rows [][]float64) ([]float64, error) {
 	for i, r := range rows {
 		if err := p.ValidateRow(r); err != nil {
@@ -123,7 +130,13 @@ func (p *Predictor) ScoresIntoPrevalidated(dst []float64, rows [][]float64) ([]f
 			}
 		}
 	}
-	return p.model.ScoresInto(dst, p.cross), nil
+	scores := p.model.ScoresInto(dst, p.cross)
+	for _, s := range scores {
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return nil, ErrNonFiniteScore
+		}
+	}
+	return scores, nil
 }
 
 // Scores is the allocating convenience form of ScoresInto.

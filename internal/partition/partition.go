@@ -223,14 +223,20 @@ func (p Partition) Equal(q Partition) bool {
 
 // Key returns a compact string usable as a map key.
 func (p Partition) Key() string {
-	var sb strings.Builder
+	var buf [64]byte
+	return string(p.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key's bytes to dst and returns the extended slice, so
+// a caller holding scratch can look a partition up without allocating.
+func (p Partition) AppendKey(dst []byte) []byte {
 	for i, b := range p.rgs {
 		if i > 0 {
-			sb.WriteByte('.')
+			dst = append(dst, '.')
 		}
-		sb.WriteString(strconv.Itoa(b))
+		dst = strconv.AppendInt(dst, int64(b), 10)
 	}
-	return sb.String()
+	return dst
 }
 
 // String renders p in the paper's notation ("1/23/4"); elements above 9

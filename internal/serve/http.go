@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/httpjson"
 	"repro/internal/model"
 )
 
@@ -27,16 +28,20 @@ const (
 	CodeOverloaded       = "overloaded"         // 503 (global saturation; Retry-After is set)
 	CodeShuttingDown     = "shutting_down"      // 503 (graceful drain in progress)
 	CodeInternal         = "internal"           // 500
+	CodeEncodeFailed     = "encode_failed"      // 500 (the response could not be encoded as JSON)
 )
 
 // retryAfterSeconds is the backoff hint attached to shed responses.
 const retryAfterSeconds = "1"
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the connection is the only failure mode left
+// writeJSON answers with v, or with a 500 CodeEncodeFailed envelope when v
+// cannot be encoded; it reports whether v went out.
+func writeJSON(w http.ResponseWriter, status int, v any) bool {
+	if err := httpjson.Write(w, status, v); err != nil {
+		writeError(w, http.StatusInternalServerError, CodeEncodeFailed, "%v", err)
+		return false
+	}
+	return true
 }
 
 // errorEnvelope is the structured error body of every non-2xx response.
@@ -53,7 +58,8 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	if status == http.StatusTooManyRequests || code == CodeOverloaded {
 		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
-	writeJSON(w, status, errorEnvelope{Error: errorDetail{Code: code, Message: fmt.Sprintf(format, args...)}})
+	// An envelope holds only strings, which always encode.
+	_ = httpjson.Write(w, status, errorEnvelope{Error: errorDetail{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
 // Handler returns the HTTP API: the /v1 routes plus the unversioned PR 4
@@ -274,7 +280,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string
 		s.writeScoreError(w, e, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, PredictResponse{Scores: scores, Labels: model.Labels(scores)})
+	if !writeJSON(w, http.StatusOK, PredictResponse{Scores: scores, Labels: model.Labels(scores)}) {
+		e.metrics.countError()
+	}
 }
 
 // writeScoreError maps ScoreBatch's sentinel errors to status + code.
@@ -294,6 +302,8 @@ func (s *Server) writeScoreError(w http.ResponseWriter, e *entry, err error) {
 		e.metrics.countRejected()
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "%v", err)
 	default:
+		// Scoring itself failed — a non-finite score, for one.
+		e.metrics.countError()
 		writeError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
 	}
 }

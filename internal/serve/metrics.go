@@ -21,6 +21,7 @@ type Metrics struct {
 	Requests      int64 `json:"requests"`       // admitted predict requests answered
 	Rejected      int64 `json:"rejected"`       // 4xx-rejected predict requests
 	Shed          int64 `json:"shed"`           // load-shed predict requests (429/503)
+	Errors        int64 `json:"errors"`         // predict requests answered 500: scoring or encoding failed
 	Drained       int64 `json:"drained"`        // requests answered while their pipeline drained
 	Swaps         int64 `json:"swaps"`          // hot-swaps applied to this model
 	Instances     int64 `json:"instances"`      // instances scored
@@ -65,6 +66,12 @@ func (mm *modelMetrics) countAccepted() {
 func (mm *modelMetrics) countRejected() {
 	mm.mu.Lock()
 	mm.m.Rejected++
+	mm.mu.Unlock()
+}
+
+func (mm *modelMetrics) countError() {
+	mm.mu.Lock()
+	mm.m.Errors++
 	mm.mu.Unlock()
 }
 
@@ -115,6 +122,7 @@ var promFamilies = []promMetric{
 	{"iotml_requests_total", "counter", "Admitted predict requests answered.", func(m Metrics) int64 { return m.Requests }},
 	{"iotml_rejected_total", "counter", "Predict requests rejected at validation (4xx).", func(m Metrics) int64 { return m.Rejected }},
 	{"iotml_shed_total", "counter", "Predict requests shed by backpressure (429/503).", func(m Metrics) int64 { return m.Shed }},
+	{"iotml_errors_total", "counter", "Predict requests answered 500 because scoring or encoding failed.", func(m Metrics) int64 { return m.Errors }},
 	{"iotml_drained_total", "counter", "Requests answered while their pipeline drained.", func(m Metrics) int64 { return m.Drained }},
 	{"iotml_swaps_total", "counter", "Hot-swaps applied to the model.", func(m Metrics) int64 { return m.Swaps }},
 	{"iotml_instances_total", "counter", "Instances scored.", func(m Metrics) int64 { return m.Instances }},

@@ -258,8 +258,8 @@ func (p *pipeline) worker(pred *model.Predictor) {
 			scoreBuf = append(scoreBuf, chunkBuf...)
 		}
 		if err != nil {
-			// Only a malformed hand-enqueued job can reach this. Fail the
-			// whole batch loudly.
+			// A non-finite score (model.ErrNonFiniteScore) or a malformed
+			// hand-enqueued job. Fail the whole batch loudly.
 			for _, j := range batch {
 				j.resp <- jobResult{err: err}
 			}

@@ -60,7 +60,7 @@
 // (WithDefaultModel), /metrics to /v1/metrics. Errors carry a structured
 // envelope {"error":{"code":...,"message":...}} with stable codes
 // (invalid_request, model_not_found, method_not_allowed, queue_full,
-// overloaded, shutting_down).
+// overloaded, shutting_down, internal, encode_failed).
 //
 // # Shutdown
 //
