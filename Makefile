@@ -16,7 +16,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # set so gated code faces the same checks as the default build.
 BUILD_TAGS := loadsmoke scalesmoke
 
-.PHONY: all build vet fmt staticcheck iotml-lint govulncheck lint test shuffle short race bench bench-smoke bench-json serve-smoke fit-smoke dist-smoke load-smoke scale-smoke ci
+.PHONY: all build vet fmt staticcheck iotml-lint govulncheck lint test shuffle short race fuzz-smoke bench bench-smoke bench-json serve-smoke fit-smoke dist-smoke load-smoke scale-smoke ci
 
 all: build
 
@@ -99,6 +99,21 @@ race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 $(RACE_FULL_PKGS)
 
+# fuzz-smoke gives every fuzz target of an untrusted decoder a short
+# coverage-guided run (FUZZTIME each, one `go test` per target: -fuzz
+# accepts a single target at a time). Failing inputs land in the
+# package's testdata/fuzz corpus, where the regular suite replays them.
+# Mirrors the CI fuzz-smoke job.
+FUZZTIME ?= 10s
+FUZZ_TARGETS := ./internal/partition:FuzzParse ./internal/dataset:FuzzReadCSV ./internal/dataset:FuzzReadJSONL
+
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz $$fn ($$pkg, $(FUZZTIME))"; \
+		$(GO) test -run='^$$' -fuzz="^$$fn\$$" -fuzztime=$(FUZZTIME) $$pkg || exit 1; \
+	done
+
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
@@ -177,4 +192,4 @@ bench-json:
 		&& mv BENCH_gram.json.tmp BENCH_gram.json && rm -f $$out
 	@echo "wrote BENCH_gram.json"
 
-ci: build lint test shuffle race bench-smoke serve-smoke fit-smoke dist-smoke load-smoke scale-smoke
+ci: build lint test shuffle race fuzz-smoke bench-smoke serve-smoke fit-smoke dist-smoke load-smoke scale-smoke

@@ -231,7 +231,7 @@ func BenchmarkMicro_ChainSearch_18features(b *testing.B) {
 	d.Standardize()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := mkl.NewEvaluator(d, mkl.Config{Objective: mkl.KernelAlignment, Seed: 1})
+		e, err := mkl.NewEvaluator(d, mkl.Config{Objective: mkl.KernelAlignment, Seed: 1, Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func parallelBenchData(b *testing.B) *dataset.Dataset {
 func benchChainSearch(b *testing.B, workers int) {
 	d := parallelBenchData(b)
 	seed := partition.Coarsest(d.D())
-	ref, err := mkl.NewEvaluator(d, mkl.Config{Objective: mkl.CVAccuracy, Seed: 1})
+	ref, err := mkl.NewEvaluator(d, mkl.Config{Objective: mkl.CVAccuracy, Seed: 1, Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -275,12 +275,7 @@ func benchChainSearch(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var res *mkl.Result
-		if workers == 1 {
-			res, err = mkl.ChainSearch(e, seed, mkl.BestOfChain)
-		} else {
-			res, err = mkl.ChainSearchParallel(e, seed, mkl.BestOfChain)
-		}
+		res, err := mkl.ChainSearch(e, seed, mkl.BestOfChain)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -317,7 +312,7 @@ func benchExhaustiveCone(b *testing.B, workers int) {
 		d.Y = append(d.Y, y)
 	}
 	seed := partition.Coarsest(m)
-	ref, err := mkl.NewEvaluator(d, mkl.Config{Objective: mkl.KernelAlignment, Seed: 1})
+	ref, err := mkl.NewEvaluator(d, mkl.Config{Objective: mkl.KernelAlignment, Seed: 1, Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -331,12 +326,7 @@ func benchExhaustiveCone(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var res *mkl.Result
-		if workers == 1 {
-			res, err = mkl.ExhaustiveCone(e, seed)
-		} else {
-			res, err = mkl.ExhaustiveConeParallel(e, seed)
-		}
+		res, err := mkl.ExhaustiveCone(e, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -423,7 +413,7 @@ func benchGramSearch(b *testing.B, workers int, exact bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := mkl.ChainSearchParallel(e, seed, mkl.BestOfChain); err != nil {
+		if _, err := mkl.ChainSearch(e, seed, mkl.BestOfChain); err != nil {
 			b.Fatal(err)
 		}
 	}

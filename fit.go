@@ -66,8 +66,9 @@ func WithCVSeed(seed int64) Option {
 }
 
 // WithParallelism bounds the search worker pool: 0 (the default) uses all
-// cores, 1 forces the sequential path, n > 1 uses n workers. The selected
-// partition, score, and progress stream are identical at every setting.
+// cores, 1 scores one candidate at a time, n > 1 uses n workers. The
+// selected partition, score, evaluation count, and progress stream are
+// identical at every setting.
 func WithParallelism(n int) Option {
 	return func(c *core.FitConfig) { c.MKL.Parallelism = n }
 }

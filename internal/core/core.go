@@ -31,9 +31,9 @@ import (
 // scoring with kernel ridge.
 //
 // Parallelism is configured through MKL.Parallelism: 0 (the default) uses
-// runtime.GOMAXPROCS(0) workers, 1 forces the sequential strategies, and
-// n > 1 uses n workers. The parallel strategies are deterministic — the
-// selected partition and score are identical at every setting.
+// runtime.GOMAXPROCS(0) workers, 1 scores one candidate at a time, and
+// n > 1 uses n workers. The search is deterministic — the selected
+// partition, score and evaluation count are identical at every setting.
 //
 // Candidate scoring runs on the vectorized block-Gram engine (dense matrix
 // kernels per partition block — see internal/kernel/blockgram.go): exact
@@ -64,7 +64,8 @@ type FitConfig struct {
 	// scoring semantics). Selection is bit-identical to the in-process
 	// strategies; dead or hung workers are retried, re-dispatched, and
 	// ultimately replaced by local in-process scoring, so a fit never
-	// fails because its fleet did.
+	// fails because its fleet did. The evaluation count and progress
+	// stream are those of the in-process search.
 	Dist *distsearch.Options
 }
 
@@ -94,7 +95,9 @@ type FitResult struct {
 	Best partition.Partition
 	// Score is its cross-validated objective value.
 	Score float64
-	// Evaluations counts kernel configurations scored during the search.
+	// Evaluations counts the candidates the search consumed (the length of
+	// its trace) — the same at every worker count and for a distributed
+	// fit.
 	Evaluations int
 
 	// data and cfg are retained so Artifact can retrain the selected
@@ -213,51 +216,31 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	e.SetContext(ctx)
-	// The *Parallel strategies fall back to their sequential counterparts
-	// themselves when the configured parallelism resolves to one worker.
 	var search mkl.SearchFunc
 	switch cfg.Search {
 	case SearchGreedy:
-		search = mkl.GreedyRefineParallel
+		search = mkl.GreedyRefine
 	case SearchExhaustive:
-		search = mkl.ExhaustiveConeParallel
+		search = mkl.ExhaustiveCone
 	case SearchChainFirstImprovement:
 		search = func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
-			return mkl.ChainSearchParallel(e, s, mkl.FirstImprovement)
+			return mkl.ChainSearch(e, s, mkl.FirstImprovement)
 		}
 	default:
 		search = func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
-			return mkl.ChainSearchParallel(e, s, mkl.BestOfChain)
+			return mkl.ChainSearch(e, s, mkl.BestOfChain)
 		}
 	}
 	if distributed {
-		// The distributed strategies mirror the parallel ones shard by
-		// shard: the coordinator scores candidate batches across the
-		// fleet and the reduction stays a canonical-order scan, so the
-		// selection is identical to the in-process strategies.
+		// The coordinator scores the search's candidate batches across the
+		// fleet in place of the in-process pool; the reduction stays a
+		// canonical-order scan, so the selection is unchanged.
 		coord, cerr := distsearch.NewCoordinator(d, *cfg.Dist)
 		if cerr != nil {
 			return nil, fmt.Errorf("core: %w", cerr)
 		}
 		coord.SetEmitter(e.EmitDistEvent)
-		switch cfg.Search {
-		case SearchGreedy:
-			search = func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
-				return mkl.GreedyRefineWith(e, s, coord)
-			}
-		case SearchExhaustive:
-			search = func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
-				return mkl.ExhaustiveConeWith(e, s, coord)
-			}
-		case SearchChainFirstImprovement:
-			search = func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
-				return mkl.ChainSearchWith(e, s, mkl.FirstImprovement, coord)
-			}
-		default:
-			search = func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
-				return mkl.ChainSearchWith(e, s, mkl.BestOfChain, coord)
-			}
-		}
+		e.SetScorer(coord)
 	}
 	backend, berr := cfg.MKL.EffectiveBackend()
 	if berr != nil {

@@ -321,6 +321,13 @@ func ReadJSONL(r io.Reader, s Schema) (*Dataset, error) {
 			if len(features) == 0 {
 				return nil, fmt.Errorf("dataset: JSONL record 1 has no feature keys")
 			}
+			for _, f := range features {
+				// ReadCSV trims header cells and the CSV reader folds \r\n
+				// to \n, so such a name could not survive WriteCSV.
+				if strings.TrimSpace(f) != f || strings.ContainsRune(f, '\r') {
+					return nil, fmt.Errorf("dataset: JSONL feature key %q: surrounding whitespace or a carriage return cannot round-trip through CSV", f)
+				}
+			}
 			var err error
 			if views, err = s.resolve(features); err != nil {
 				return nil, err

@@ -45,43 +45,92 @@ func FuzzReadCSV(f *testing.F) {
 		if err != nil {
 			return // rejected inputs only need to not panic
 		}
-		if err := d.Validate(); err != nil {
-			t.Fatalf("accepted dataset fails Validate: %v", err)
-		}
-		if d.N() == 0 || d.D() == 0 {
-			t.Fatalf("accepted empty dataset: %dx%d", d.N(), d.D())
-		}
-		for i, row := range d.X {
-			for j, v := range row {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("non-finite cell (%d,%d) = %v ingested", i, j, v)
-				}
-			}
-		}
-		// Round trip: what we write, we must read back bit-identically.
-		var buf bytes.Buffer
-		if err := WriteCSV(&buf, d); err != nil {
-			t.Fatalf("WriteCSV on accepted dataset: %v", err)
-		}
-		rt, err := ReadCSV(bytes.NewReader(buf.Bytes()), d.CSVSchema())
-		if err != nil {
-			t.Fatalf("re-reading written CSV: %v\ncsv:\n%s", err, buf.Bytes())
-		}
-		if rt.N() != d.N() || rt.D() != d.D() {
-			t.Fatalf("round trip %dx%d, want %dx%d", rt.N(), rt.D(), d.N(), d.D())
-		}
-		for i := range d.X {
-			if rt.Y[i] != d.Y[i] {
-				t.Fatalf("row %d label flipped", i)
-			}
-			for j := range d.X[i] {
-				if math.Float64bits(rt.X[i][j]) != math.Float64bits(d.X[i][j]) {
-					t.Fatalf("cell (%d,%d) bits changed: %v -> %v", i, j, d.X[i][j], rt.X[i][j])
-				}
-				if d.IsMissing(i, j) != rt.IsMissing(i, j) {
-					t.Fatalf("cell (%d,%d) missingness changed", i, j)
-				}
-			}
-		}
+		checkAccepted(t, d)
 	})
+}
+
+// FuzzReadJSONL drives the JSON-lines ingester with arbitrary bytes under
+// every NaN policy, with the same properties as FuzzReadCSV: no panic, and
+// an accepted input is a valid, non-empty, finite dataset that survives a
+// WriteCSV → ReadCSV round trip bit-for-bit.
+func FuzzReadJSONL(f *testing.F) {
+	seeds := []string{
+		`{"a":1,"b":2,"label":1}` + "\n" + `{"a":3,"b":4,"label":-1}` + "\n",
+		`{"a":null,"b":2,"label":1}` + "\n" + `{"a":1,"b":2,"label":-1}` + "\n", // null value
+		`{"a":1,"b":2,"label":1}` + "\n" + `{"b":2,"label":-1}` + "\n",          // absent key
+		`{"a":1,"label":7}` + "\n",     // bad label
+		`{"a":1,"label":"1"}` + "\n",   // string label
+		`{"a":1e400,"label":1}` + "\n", // out of float64 range
+		`{"a":1e308,"label":-1}` + "\n",
+		`{"a":5e-324,"label":1}` + "\n",                                       // subnormal
+		`{"a":1,"a":2,"label":1}` + "\n",                                      // duplicate key
+		`{"a":{"x":1},"label":1}` + "\n",                                      // nested object
+		`{"a":[1,2],"label":1}` + "\n",                                        // nested array
+		`{"a":true,"label":1}` + "\n",                                         // non-numeric
+		"\n\n" + `{"a":1,"label":1}` + "\n\n" + `{"a":2,"label":-1}` + "\n\n", // blank lines
+		`{"label":1}` + "\n",                                                  // no features
+		`{"a":1}` + "\n",                                                      // no label
+		`{"a":-0,"b":0.125,"label":-1}`,
+		`{"a,b":1,"\"q\"":2,"label":1}` + "\n", // keys CSV must quote
+		`{"label":1,"_label":2}` + "\n",        // feature named like the label column
+		`[1,2,3]` + "\n",                       // not an object
+		`{"a":1,"label":1}{"a":2,"label":-1}`,  // records without newlines
+		"",
+	}
+	for _, s := range seeds {
+		f.Add(s, 0)
+	}
+	f.Fuzz(func(t *testing.T, in string, policy int) {
+		s := Schema{NaN: NaNPolicy(((policy % 3) + 3) % 3)}
+		d, err := ReadJSONL(strings.NewReader(in), s)
+		if err != nil {
+			return // rejected inputs only need to not panic
+		}
+		checkAccepted(t, d)
+	})
+}
+
+// checkAccepted asserts the properties every accepted ingest must have: a
+// valid, non-empty dataset of finite cells whose WriteCSV → ReadCSV round
+// trip reproduces every cell, label and missing flag bit-for-bit.
+func checkAccepted(t *testing.T, d *Dataset) {
+	t.Helper()
+	if err := d.Validate(); err != nil {
+		t.Fatalf("accepted dataset fails Validate: %v", err)
+	}
+	if d.N() == 0 || d.D() == 0 {
+		t.Fatalf("accepted empty dataset: %dx%d", d.N(), d.D())
+	}
+	for i, row := range d.X {
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("non-finite cell (%d,%d) = %v ingested", i, j, v)
+			}
+		}
+	}
+	// Round trip: what we write, we must read back bit-identically.
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, d); err != nil {
+		t.Fatalf("WriteCSV on accepted dataset: %v", err)
+	}
+	rt, err := ReadCSV(bytes.NewReader(buf.Bytes()), d.CSVSchema())
+	if err != nil {
+		t.Fatalf("re-reading written CSV: %v\ncsv:\n%s", err, buf.Bytes())
+	}
+	if rt.N() != d.N() || rt.D() != d.D() {
+		t.Fatalf("round trip %dx%d, want %dx%d", rt.N(), rt.D(), d.N(), d.D())
+	}
+	for i := range d.X {
+		if rt.Y[i] != d.Y[i] {
+			t.Fatalf("row %d label flipped", i)
+		}
+		for j := range d.X[i] {
+			if math.Float64bits(rt.X[i][j]) != math.Float64bits(d.X[i][j]) {
+				t.Fatalf("cell (%d,%d) bits changed: %v -> %v", i, j, d.X[i][j], rt.X[i][j])
+			}
+			if d.IsMissing(i, j) != rt.IsMissing(i, j) {
+				t.Fatalf("cell (%d,%d) missingness changed", i, j)
+			}
+		}
+	}
 }

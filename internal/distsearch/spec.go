@@ -2,9 +2,10 @@
 // worker processes: a coordinator shards the candidate batches the search
 // strategies produce, dispatches shards to remote workers over HTTP+JSON,
 // and merges the returned scores in canonical candidate order — so the
-// distributed selection is bit-identical to the sequential strategies at
-// every process and worker count (the same contract the in-process
-// parallel strategies keep).
+// distributed selection is bit-identical to the sequential walk at every
+// process and worker count. The coordinator is the search's scorer
+// (mkl.Evaluator.SetScorer); the strategies themselves are the in-process
+// ones.
 //
 // Robustness is first-class: every shard dispatch carries a deadline and a
 // jittered-exponential retry budget (internal/retry), a worker that dies,

@@ -22,35 +22,20 @@ import (
 	"repro/internal/partition"
 )
 
-// backendStrategies is the strategy axis of the matrix: each entry pairs
-// a sequential search with its parallel variant.
+// backendStrategies is the strategy axis of the matrix. Each strategy is
+// run once on a Parallelism: 1 reference evaluator and once per worker
+// count on the evaluator under test.
 var backendStrategies = []struct {
 	name string
 	dims int // feature count (bounds the cone for exhaustive/greedy)
-	// stableEvals: the parallel variant evaluates exactly the sequential
-	// candidate set (greedy speculates batches, so its count differs by
-	// worker count while Best/Score stay identical).
-	stableEvals bool
-	seq         func(e *Evaluator, seed partition.Partition) (*Result, error)
-	par         func(e *Evaluator, seed partition.Partition) (*Result, error)
+	run  SearchFunc
 }{
 	{
-		name: "chain", dims: 9, stableEvals: true,
-		seq: func(e *Evaluator, s partition.Partition) (*Result, error) { return ChainSearch(e, s, BestOfChain) },
-		par: func(e *Evaluator, s partition.Partition) (*Result, error) {
-			return ChainSearchParallel(e, s, BestOfChain)
-		},
+		name: "chain", dims: 9,
+		run: func(e *Evaluator, s partition.Partition) (*Result, error) { return ChainSearch(e, s, BestOfChain) },
 	},
-	{
-		name: "exhaustive", dims: 5, stableEvals: true,
-		seq: ExhaustiveCone,
-		par: ExhaustiveConeParallel,
-	},
-	{
-		name: "greedy", dims: 7,
-		seq: GreedyRefine,
-		par: GreedyRefineParallel,
-	},
+	{name: "exhaustive", dims: 5, run: ExhaustiveCone},
+	{name: "greedy", dims: 7, run: GreedyRefine},
 }
 
 // TestBackendFloat64BitIdenticalToDefault: WithBackend(Float64) — and the
@@ -61,11 +46,11 @@ func TestBackendFloat64BitIdenticalToDefault(t *testing.T) {
 		for _, st := range backendStrategies {
 			d := parallelTestDataDim(t, st.dims, 50, 13+seed)
 			start := partition.Coarsest(d.D())
-			ref, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: seed})
+			ref, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: seed, Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := st.seq(ref, start)
+			want, err := st.run(ref, start)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,12 +62,11 @@ func TestBackendFloat64BitIdenticalToDefault(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := st.par(e, start)
+				got, err := st.run(e, start)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !got.Best.Equal(want.Best) || got.Score != want.Score ||
-					(st.stableEvals && got.Evaluations != want.Evaluations) {
+				if !got.Best.Equal(want.Best) || got.Score != want.Score || got.Evaluations != want.Evaluations {
 					t.Errorf("seed=%d %s workers=%d: Float64 backend (%v, %v, %d evals), reference (%v, %v, %d evals)",
 						seed, st.name, workers, got.Best, got.Score, got.Evaluations,
 						want.Best, want.Score, want.Evaluations)
@@ -108,11 +92,11 @@ func TestBackendFloat32ToleranceAndDeterminism(t *testing.T) {
 				}
 				d := parallelTestDataDim(t, st.dims, 50, 29+seed)
 				start := partition.Coarsest(d.D())
-				ref, err := NewEvaluator(d, Config{Objective: obj, Seed: seed})
+				ref, err := NewEvaluator(d, Config{Objective: obj, Seed: seed, Parallelism: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := st.seq(ref, start)
+				want, err := st.run(ref, start)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,7 +112,7 @@ func TestBackendFloat32ToleranceAndDeterminism(t *testing.T) {
 					if e.d32 == nil {
 						t.Fatal("Float32 backend did not build the f32 block cache")
 					}
-					got, err := st.par(e, start)
+					got, err := st.run(e, start)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -140,8 +124,7 @@ func TestBackendFloat32ToleranceAndDeterminism(t *testing.T) {
 						first = got
 						continue
 					}
-					if !got.Best.Equal(first.Best) || got.Score != first.Score ||
-						(st.stableEvals && got.Evaluations != first.Evaluations) {
+					if !got.Best.Equal(first.Best) || got.Score != first.Score || got.Evaluations != first.Evaluations {
 						t.Errorf("obj=%v seed=%d %s workers=%d: f32 not bit-identical across worker counts: (%v, %v) vs (%v, %v)",
 							obj, seed, st.name, workers, got.Best, got.Score, first.Best, first.Score)
 					}

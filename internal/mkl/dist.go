@@ -1,14 +1,13 @@
-// Distributed counterparts of the lattice-search strategies. Where the
-// *Parallel variants (parallel.go) fan candidates out to an in-process
-// worker pool, the *With variants hand the whole canonical candidate batch
-// to a CandidateScorer — internal/distsearch implements it as a
-// shard-dispatching coordinator over remote worker processes — and reduce
-// the returned scores in canonical candidate order, exactly like their
-// sequential and parallel twins. Because the reduction is a pure
-// index-order scan and remote workers score with the same deterministic
-// evaluation pipeline, the selected partition and score are bit-identical
-// to the sequential strategies no matter how many processes or threads
-// scored the candidates, which worker scored which shard, or which
+// The remote scorer of the lattice search. An Evaluator with a
+// CandidateScorer attached (SetScorer) — internal/distsearch implements it
+// as a shard-dispatching coordinator over remote worker processes — sends
+// every candidate batch of its searches to that scorer instead of the
+// in-process pool, through its score cache (scoreVia). The strategies
+// reduce the returned scores in canonical candidate order exactly as they
+// do in process, and remote workers score with the same deterministic
+// evaluation pipeline, so the selected partition and score are
+// bit-identical to the sequential walk no matter how many processes or
+// threads scored the candidates, which worker scored which shard, or which
 // failures were retried along the way.
 //
 // ScoreShard is the other half of the contract: the entry point a worker
@@ -35,11 +34,17 @@ type CandidateScorer interface {
 	ScoreCandidates(ctx context.Context, cands []partition.Partition) ([]float64, []error)
 }
 
+// SetScorer attaches sc as the scorer of every search run over this
+// evaluator, in place of the in-process worker pool; nil restores the
+// pool. Candidates already in the evaluator's score cache are never sent
+// to sc.
+func (e *Evaluator) SetScorer(sc CandidateScorer) { e.remote = sc }
+
 // ScoreShard scores one shard of the candidate lattice on the evaluator —
 // the worker-process entry point of the distributed search. Candidates are
 // scored with the evaluator's configured parallelism (scratch evaluators,
-// shared Gram-block cache — the exact machinery of the in-process parallel
-// strategies), and the scores come back in candidate order. The first
+// shared Gram-block cache — the exact machinery of the in-process
+// searches), and the scores come back in candidate order. The first
 // error in canonical candidate order is returned, matching the sequential
 // scan's error choice; scores before it are still valid.
 func ScoreShard(e *Evaluator, cands []partition.Partition) ([]float64, error) {
@@ -130,119 +135,6 @@ func (e *Evaluator) scoreVia(sc CandidateScorer, cands []partition.Partition) ([
 		scores[i] = s
 	}
 	return scores, errs
-}
-
-// ExhaustiveConeWith is ExhaustiveCone with the Bell(m) candidate cone
-// scored through sc. The selected partition, score, and trace order are
-// bit-identical to ExhaustiveCone.
-func ExhaustiveConeWith(e *Evaluator, seed partition.Partition, sc CandidateScorer) (*Result, error) {
-	freeBlock, freeElems := freeBlockOf(seed)
-	m := len(freeElems)
-	start := e.Calls()
-	var subs []partition.Partition
-	if m == 1 {
-		subs = []partition.Partition{partition.Finest(1)}
-	} else {
-		subs = partition.All(m)
-	}
-	cands := make([]partition.Partition, len(subs))
-	for i, q := range subs {
-		cands[i] = coneToFull(seed, freeBlock, freeElems, q)
-	}
-	scores, errs := e.scoreVia(sc, cands)
-	res := &Result{Score: -1}
-	err := reduceBest(e, res, cands, scores, errs)
-	res.Evaluations = e.Calls() - start
-	if err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// ChainSearchWith is ChainSearch with the chain's partitions scored
-// through sc. Like ChainSearchParallel, under FirstImprovement the full
-// chain is scored speculatively (the chain is only m long) and the
-// first-improvement stop applies during the canonical reduction, so the
-// selection is bit-identical to the sequential walk even though
-// Result.Evaluations may exceed the sequential count.
-func ChainSearchWith(e *Evaluator, seed partition.Partition, rule AscentRule, sc CandidateScorer) (*Result, error) {
-	freeBlock, freeElems := freeBlockOf(seed)
-	m := len(freeElems)
-	start := e.Calls()
-
-	ordered := alignmentOrder(e, freeElems)
-	chain := principalChain(m)
-	cands := make([]partition.Partition, len(chain))
-	for i, q := range chain {
-		cands[i] = coneToFull(seed, freeBlock, ordered, q)
-	}
-	scores, errs := e.scoreVia(sc, cands)
-	res := &Result{Score: -1}
-	for i, s := range scores {
-		if err := errAt(errs, i); err != nil {
-			res.Evaluations = e.Calls() - start
-			return res, err
-		}
-		if !e.observe(res, cands[i], s) && rule == FirstImprovement && i > 0 {
-			break
-		}
-	}
-	res.Evaluations = e.Calls() - start
-	return res, nil
-}
-
-// GreedyRefineWith is GreedyRefine with each hill-climbing step's lower
-// covers scored through sc — the whole cover set of a step travels as one
-// batch (distributed dispatch amortizes over shards, so the chunked
-// speculation of GreedyRefineParallel is unnecessary). Within a step the
-// climb takes the same first-improvement move as GreedyRefine (the
-// earliest cover in canonical order that improves), so the final
-// partition, score, and trace are bit-identical; Result.Evaluations may
-// exceed the sequential count by at most one cover set per step.
-func GreedyRefineWith(e *Evaluator, seed partition.Partition, sc CandidateScorer) (*Result, error) {
-	start := e.Calls()
-	seedScores, seedErrs := e.scoreVia(sc, []partition.Partition{seed})
-	if err := errAt(seedErrs, 0); err != nil {
-		return &Result{Score: -1, Evaluations: e.Calls() - start}, err
-	}
-	cur, curScore := seed, seedScores[0]
-	res := &Result{Best: cur, Score: curScore, Trace: []Step{{cur, curScore}}}
-	e.emit(EventCandidateEvaluated, cur, curScore, res)
-	for {
-		cands := cur.LowerCovers()
-		if len(cands) == 0 {
-			break
-		}
-		scores, errs := e.scoreVia(sc, cands)
-		improved := false
-		for i, s := range scores {
-			if err := errAt(errs, i); err != nil {
-				res.Best, res.Score = cur, curScore
-				res.Evaluations = e.Calls() - start
-				return res, err
-			}
-			res.Trace = append(res.Trace, Step{cands[i], s})
-			// Advance the incumbent before emitting, so the candidate event
-			// carries the post-event best (the Event contract).
-			if s > curScore+1e-12 {
-				cur, curScore = cands[i], s
-				res.Best, res.Score = cur, curScore
-				improved = true
-			}
-			e.emit(EventCandidateEvaluated, cands[i], s, res)
-			if improved {
-				e.emit(EventBestImproved, cands[i], s, res)
-				break // first-improvement descent, in canonical cover order
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	res.Best = cur
-	res.Score = curScore
-	res.Evaluations = e.Calls() - start
-	return res, nil
 }
 
 // EmitDistEvent delivers one coordinator progress event (shard dispatch,

@@ -19,6 +19,14 @@
 //   - GreedyRefine hill-climbs through lower covers (block splits) — the
 //     natural local-search ablation, costing O(width) evaluations per step.
 //
+// Each strategy is written once. It proposes candidates in canonical
+// order, scores them through the evaluator's scorer — the in-process
+// worker pool sized by Config.Parallelism, or a remote CandidateScorer
+// attached with Evaluator.SetScorer — and reduces the scores in canonical
+// order, stopping where the sequential walk stops (see parallel.go). The
+// result, its Evaluations count and the progress stream are therefore the
+// same for every worker count and every scorer.
+//
 // The seed partition is chosen dynamically with rough-set approximation
 // accuracy on the benchmark concept (SeedFromRoughSet), as Section III
 // prescribes, "as opposed to statically, based on semantic distance
@@ -65,11 +73,12 @@ type Config struct {
 	Seed      int64
 	Objective Objective
 
-	// Parallelism selects the worker count of the parallel search
-	// strategies (ExhaustiveConeParallel, ChainSearchParallel,
-	// GreedyRefineParallel): 0 means runtime.GOMAXPROCS(0), 1 forces the
-	// single-worker path, n > 1 uses n workers. Results are deterministic
-	// and identical to the sequential strategies at every setting.
+	// Parallelism sizes the in-process worker pool that scores the
+	// candidates of every search strategy (ExhaustiveCone, ChainSearch,
+	// GreedyRefine): 0 means runtime.GOMAXPROCS(0), 1 scores one candidate
+	// at a time on the evaluator itself, n > 1 uses n workers. Results —
+	// Best, Score, Trace, Evaluations and the progress stream — are
+	// identical at every setting.
 	Parallelism int
 
 	// GramCacheBlocks bounds the per-dataset Gram-block cache that lets
@@ -200,6 +209,9 @@ type Evaluator struct {
 	// evaluator aborts within one candidate evaluation (SetContext).
 	ctx context.Context
 
+	// remote, when non-nil, scores the candidate batches of every search
+	// in place of the in-process pool (SetScorer).
+	remote CandidateScorer
 	// shared lets scratch evaluators of one parallel search pool their
 	// score cache (nil on a standalone evaluator).
 	shared *sharedScores
@@ -603,7 +615,7 @@ type Step struct {
 type Result struct {
 	Best        partition.Partition
 	Score       float64
-	Evaluations int // evaluations consumed by this search alone
+	Evaluations int // candidates the search consumed: len(Trace)
 	Trace       []Step
 }
 
@@ -710,32 +722,28 @@ func freeBlockOf(seed partition.Partition) (int, []int) {
 // ExhaustiveCone scores every partition in the lower cone of the seed
 // obtained by refining its largest block in all possible ways (Bell(m)
 // configurations for a free block of m features) and returns the best.
+// A pooled or remote scorer receives the whole cone as one batch.
 //
 // Like every search strategy, on error — including cancellation of a
 // context bound with Evaluator.SetContext — it returns the partial Result
 // accumulated so far alongside the error.
 func ExhaustiveCone(e *Evaluator, seed partition.Partition) (*Result, error) {
 	freeBlock, freeElems := freeBlockOf(seed)
-	m := len(freeElems)
-	start := e.Calls()
+	subs := []partition.Partition{partition.Finest(1)}
+	if len(freeElems) > 1 {
+		subs = partition.All(len(freeElems))
+	}
+	cands := make([]partition.Partition, len(subs))
+	for i, q := range subs {
+		cands[i] = coneToFull(seed, freeBlock, freeElems, q)
+	}
 	res := &Result{Score: -1}
-	var subs []partition.Partition
-	if m == 1 {
-		subs = []partition.Partition{partition.Finest(1)}
-	} else {
-		subs = partition.All(m)
-	}
-	for _, q := range subs {
-		full := coneToFull(seed, freeBlock, freeElems, q)
-		s, err := e.Score(full)
-		if err != nil {
-			res.Evaluations = e.Calls() - start
-			return res, err
-		}
-		e.observe(res, full, s)
-	}
-	res.Evaluations = e.Calls() - start
-	return res, nil
+	return e.runSearch(res, func(p *scorePool) error {
+		return p.walk(cands, false, func(i int, s float64) bool {
+			e.observe(res, cands[i], s)
+			return true
+		})
+	})
 }
 
 // AscentRule selects how ChainSearch consumes its chain.
@@ -759,30 +767,26 @@ const (
 //
 // To make the canonical chain data-adaptive, the free features are first
 // ordered by decreasing single-feature kernel-target alignment; the chain
-// then merges the most informative features first.
+// then merges the most informative features first. Under BestOfChain a
+// pooled or remote scorer receives the whole chain as one batch; under
+// FirstImprovement the walk stops at the first non-improving step, so an
+// in-process pool scores the chain in bounded chunks.
 func ChainSearch(e *Evaluator, seed partition.Partition, rule AscentRule) (*Result, error) {
 	freeBlock, freeElems := freeBlockOf(seed)
-	m := len(freeElems)
-	start := e.Calls()
-
 	ordered := alignmentOrder(e, freeElems)
-
-	chain := principalChain(m)
-	res := &Result{Score: -1}
+	chain := principalChain(len(freeElems))
+	cands := make([]partition.Partition, len(chain))
 	for i, q := range chain {
 		// Remap q's canonical elements through the alignment ordering.
-		full := coneToFull(seed, freeBlock, ordered, q)
-		s, err := e.Score(full)
-		if err != nil {
-			res.Evaluations = e.Calls() - start
-			return res, err
-		}
-		if !e.observe(res, full, s) && rule == FirstImprovement && i > 0 {
-			break
-		}
+		cands[i] = coneToFull(seed, freeBlock, ordered, q)
 	}
-	res.Evaluations = e.Calls() - start
-	return res, nil
+	stopEarly := rule == FirstImprovement
+	res := &Result{Score: -1}
+	return e.runSearch(res, func(p *scorePool) error {
+		return p.walk(cands, stopEarly, func(i int, s float64) bool {
+			return e.observe(res, cands[i], s) || !stopEarly || i == 0
+		})
+	})
 }
 
 // principalChain returns the full-span symmetric chain of Π_m used by
@@ -844,49 +848,45 @@ func PrincipalChainMatchesLDD(m int) bool {
 }
 
 // GreedyRefine hill-climbs from the seed through lower covers (splitting
-// one block into two) until no split improves the score.
+// one block into two) until no split improves the score. Each step takes
+// the first improving cover in canonical order; the covers go to the
+// scorer in its chunks, so speculation past the first improvement is
+// bounded by one chunk.
 func GreedyRefine(e *Evaluator, seed partition.Partition) (*Result, error) {
-	start := e.Calls()
-	cur := seed
-	curScore, err := e.Score(cur)
-	if err != nil {
-		// Nothing evaluated (e.g. cancellation before the seed): an empty
-		// partial keeps the every-search-returns-a-partial contract.
-		return &Result{Score: -1, Evaluations: e.Calls() - start}, err
-	}
-	res := &Result{Best: cur, Score: curScore, Trace: []Step{{cur, curScore}}}
-	e.emit(EventCandidateEvaluated, cur, curScore, res)
-	for {
-		improved := false
-		for _, cand := range cur.LowerCovers() {
-			s, err := e.Score(cand)
+	res := &Result{Score: -1}
+	return e.runSearch(res, func(p *scorePool) error {
+		err := p.walk([]partition.Partition{seed}, false, func(_ int, s float64) bool {
+			res.Best, res.Score = seed, s
+			res.Trace = append(res.Trace, Step{seed, s})
+			e.emit(EventCandidateEvaluated, seed, s, res)
+			return true
+		})
+		if err != nil {
+			return err
+		}
+		for improved := true; improved; {
+			improved = false
+			cands := res.Best.LowerCovers()
+			err = p.walk(cands, true, func(i int, s float64) bool {
+				res.Trace = append(res.Trace, Step{cands[i], s})
+				// Advance the incumbent before emitting, so the candidate
+				// event carries the post-event best (the Event contract).
+				improved = s > res.Score+1e-12
+				if improved {
+					res.Best, res.Score = cands[i], s
+				}
+				e.emit(EventCandidateEvaluated, cands[i], s, res)
+				if improved {
+					e.emit(EventBestImproved, cands[i], s, res)
+				}
+				return !improved // first-improvement descent
+			})
 			if err != nil {
-				res.Best, res.Score = cur, curScore
-				res.Evaluations = e.Calls() - start
-				return res, err
-			}
-			res.Trace = append(res.Trace, Step{cand, s})
-			// Advance the incumbent before emitting, so the candidate
-			// event carries the post-event best (the Event contract).
-			if s > curScore+1e-12 {
-				cur, curScore = cand, s
-				res.Best, res.Score = cur, curScore
-				improved = true
-			}
-			e.emit(EventCandidateEvaluated, cand, s, res)
-			if improved {
-				e.emit(EventBestImproved, cand, s, res)
-				break // first-improvement descent
+				return err
 			}
 		}
-		if !improved {
-			break
-		}
-	}
-	res.Best = cur
-	res.Score = curScore
-	res.Evaluations = e.Calls() - start
-	return res, nil
+		return nil
+	})
 }
 
 // Baselines for the headline experiment.

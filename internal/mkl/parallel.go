@@ -1,11 +1,15 @@
-// Parallel counterparts of the lattice-search strategies. Candidate
-// partitions fan out to a bounded pool of workers (internal/parsearch),
-// each worker owning a scratch Evaluator whose Gram buffers are reused
-// across candidates; per-block Gram matrices are shared through the
-// evaluator's concurrency-safe Gram-block cache. The reduction over scores
-// is a sequential scan in canonical candidate order, so the selected
-// partition and score are bit-identical to the sequential strategies at
-// every worker count.
+// The search loop shared by every lattice strategy. A strategy proposes
+// candidates in canonical order, scores them through its evaluator's
+// scorer, and reduces the scores in canonical order, stopping where the
+// sequential walk stops. The scorer is a scorePool: in process it fans a
+// batch out to Config.Parallelism workers (internal/parsearch), each
+// owning a scratch Evaluator whose Gram buffers are reused across
+// candidates, with per-block Gram matrices shared through the evaluator's
+// concurrency-safe Gram-block cache; with a CandidateScorer attached
+// (Evaluator.SetScorer) it hands the batch to that scorer instead. Because
+// the reduction is an index-order scan, the selected partition, score,
+// trace and progress stream are bit-identical at every worker count and
+// for every scorer.
 package mkl
 
 import (
@@ -44,11 +48,13 @@ func (s *sharedScores) put(key string, v float64) {
 	s.mu.Unlock()
 }
 
-// scorePool owns the per-search parallel machinery: the worker-owned
-// scratch evaluators (whose Gram buffers persist across every batch of the
-// search) and the pooled score cache, seeded once from the parent
-// evaluator's cache. Call finish exactly once, after the last scoreAll,
-// to fold worker caches and counters back into the parent.
+// scorePool is the scorer of one search. It owns the in-process parallel
+// machinery — the worker-owned scratch evaluators (whose Gram buffers
+// persist across every batch of the search) and the pooled score cache,
+// seeded once from the parent evaluator's cache — or, when the parent has
+// a CandidateScorer attached, forwards every batch to it. Call finish
+// exactly once, after the last scoreAll, to fold worker caches and
+// counters back into the parent.
 type scorePool struct {
 	parent  *Evaluator
 	workers int
@@ -57,7 +63,7 @@ type scorePool struct {
 
 func newScorePool(e *Evaluator) *scorePool {
 	p := &scorePool{parent: e, workers: e.workers()}
-	if p.workers > 1 {
+	if e.remote == nil && p.workers > 1 {
 		shared := newSharedScores(e.cache)
 		p.scratch = make([]*Evaluator, p.workers)
 		for w := range p.scratch {
@@ -69,12 +75,13 @@ func newScorePool(e *Evaluator) *scorePool {
 
 // scoreAll evaluates every candidate and returns the scores in candidate
 // order, plus any per-candidate errors (index-aligned, nil when the whole
-// set scored clean). Candidate errors do not abort the pool: the caller
-// scans candidates in canonical order and surfaces an error only when its
-// sequential counterpart would actually have reached that candidate, so
-// speculation never fails a search the sequential strategy would finish.
-// With one worker it scores directly on the parent (the exact sequential
-// path).
+// set scored clean). With one worker it scores directly on the parent and
+// stops at the first failing candidate. With more, candidate errors do
+// not abort the pool: the walk scans candidates
+// in canonical order and surfaces an error only when the sequential walk
+// would actually have reached that candidate, so speculation never fails a
+// search the sequential walk would finish. A remote batch goes through the
+// parent's score cache first (scoreVia).
 //
 // Cancellation of the parent evaluator's bound context stops the pool from
 // claiming further candidates; candidates the cancellation kept from
@@ -83,6 +90,9 @@ func newScorePool(e *Evaluator) *scorePool {
 // have hit it and everything before it still reduces into the partial
 // result.
 func (p *scorePool) scoreAll(cands []partition.Partition) ([]float64, []error) {
+	if p.parent.remote != nil {
+		return p.parent.scoreVia(p.parent.remote, cands)
+	}
 	var errs []error
 	noteErr := func(i int, err error) {
 		if errs == nil {
@@ -96,7 +106,7 @@ func (p *scorePool) scoreAll(cands []partition.Partition) ([]float64, []error) {
 			s, err := p.parent.Score(q)
 			if err != nil {
 				noteErr(i, err)
-				continue
+				break
 			}
 			scores[i] = s
 		}
@@ -129,6 +139,7 @@ func (p *scorePool) scoreAll(cands []partition.Partition) ([]float64, []error) {
 
 // finish folds the scratch evaluators' score caches and counters into the
 // parent evaluator. Call once, before reading the parent's counters.
+// Remote scores are already in the parent: scoreVia records them.
 func (p *scorePool) finish() {
 	e := p.parent
 	for _, w := range p.scratch {
@@ -143,6 +154,58 @@ func (p *scorePool) finish() {
 	p.scratch = nil
 }
 
+// walk feeds cands to visit in canonical order until visit returns false
+// or a candidate fails; the failure is returned after everything before it
+// was visited. Sequentially it is a plain loop — score one candidate,
+// visit it — so a cancellation raised from a progress callback lands at
+// the next candidate. Otherwise candidates are scored in batches: the
+// whole list for a remote scorer or a walk that runs to the end, and
+// speculationPerWorker candidates per worker for an in-process walk that
+// may stop early (stopEarly), bounding the work wasted past the stop.
+func (p *scorePool) walk(cands []partition.Partition, stopEarly bool, visit func(i int, s float64) bool) error {
+	if p.parent.remote == nil && p.workers <= 1 {
+		for i, q := range cands {
+			s, err := p.parent.Score(q)
+			if err != nil {
+				return err
+			}
+			if !visit(i, s) {
+				return nil
+			}
+		}
+		return nil
+	}
+	size := len(cands)
+	if stopEarly && p.parent.remote == nil {
+		size = p.workers * speculationPerWorker
+	}
+	for off := 0; off < len(cands); off += size {
+		scores, errs := p.scoreAll(cands[off:min(off+size, len(cands))])
+		for i, s := range scores {
+			if err := errAt(errs, i); err != nil {
+				return err
+			}
+			if !visit(off+i, s) {
+				return nil
+			}
+		}
+	}
+	return nil
+}
+
+// runSearch runs one strategy's walks over a fresh scorePool and returns
+// res with Evaluations set to the candidates the reduction consumed —
+// len(res.Trace), the same at every worker count and for every scorer.
+// Speculative extra work shows only in Calls and Evaluations of the
+// evaluator.
+func (e *Evaluator) runSearch(res *Result, body func(p *scorePool) error) (*Result, error) {
+	pool := newScorePool(e)
+	err := body(pool)
+	pool.finish()
+	res.Evaluations = len(res.Trace)
+	return res, err
+}
+
 // errAt returns the recorded error for candidate i, if any.
 func errAt(errs []error, i int) error {
 	if errs == nil {
@@ -151,161 +214,7 @@ func errAt(errs []error, i int) error {
 	return errs[i]
 }
 
-// reduceBest folds scores (in canonical candidate order) into res exactly
-// like the sequential searches do — keep the incumbent unless a candidate
-// scores strictly higher — so ties resolve to the earliest candidate
-// independently of which worker finished first, and progress events fire in
-// the same order a sequential search would emit them. A recorded candidate
-// error is surfaced at the position the sequential scan would have hit it,
-// leaving everything before it reduced into res.
-func reduceBest(e *Evaluator, res *Result, cands []partition.Partition, scores []float64, errs []error) error {
-	for i, s := range scores {
-		if err := errAt(errs, i); err != nil {
-			return err
-		}
-		e.observe(res, cands[i], s)
-	}
-	return nil
-}
-
-// ExhaustiveConeParallel is ExhaustiveCone with the Bell(m) candidate cone
-// scored by Config.Parallelism workers. The selected partition, score, and
-// trace order are bit-identical to ExhaustiveCone.
-func ExhaustiveConeParallel(e *Evaluator, seed partition.Partition) (*Result, error) {
-	if e.workers() <= 1 {
-		return ExhaustiveCone(e, seed)
-	}
-	freeBlock, freeElems := freeBlockOf(seed)
-	m := len(freeElems)
-	start := e.Calls()
-	var subs []partition.Partition
-	if m == 1 {
-		subs = []partition.Partition{partition.Finest(1)}
-	} else {
-		subs = partition.All(m)
-	}
-	cands := make([]partition.Partition, len(subs))
-	for i, q := range subs {
-		cands[i] = coneToFull(seed, freeBlock, freeElems, q)
-	}
-	pool := newScorePool(e)
-	scores, errs := pool.scoreAll(cands)
-	pool.finish()
-	res := &Result{Score: -1}
-	err := reduceBest(e, res, cands, scores, errs)
-	res.Evaluations = e.Calls() - start
-	if err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// ChainSearchParallel is ChainSearch with the chain's partitions scored by
-// Config.Parallelism workers. The selected partition, score, and trace are
-// bit-identical to ChainSearch for both ascent rules. Under
-// FirstImprovement with more than one worker the full chain is evaluated
-// speculatively (the chain is only m long), so Result.Evaluations may
-// exceed the sequential count even though the selection is identical.
-func ChainSearchParallel(e *Evaluator, seed partition.Partition, rule AscentRule) (*Result, error) {
-	if e.workers() <= 1 {
-		return ChainSearch(e, seed, rule)
-	}
-	freeBlock, freeElems := freeBlockOf(seed)
-	m := len(freeElems)
-	start := e.Calls()
-
-	ordered := alignmentOrder(e, freeElems)
-	chain := principalChain(m)
-	cands := make([]partition.Partition, len(chain))
-	for i, q := range chain {
-		cands[i] = coneToFull(seed, freeBlock, ordered, q)
-	}
-	pool := newScorePool(e)
-	scores, errs := pool.scoreAll(cands)
-	pool.finish()
-	res := &Result{Score: -1}
-	for i, s := range scores {
-		if err := errAt(errs, i); err != nil {
-			res.Evaluations = e.Calls() - start
-			return res, err
-		}
-		if !e.observe(res, cands[i], s) && rule == FirstImprovement && i > 0 {
-			break
-		}
-	}
-	res.Evaluations = e.Calls() - start
-	return res, nil
-}
-
-// GreedyRefineParallel is GreedyRefine with each hill-climbing step's lower
-// covers scored by Config.Parallelism workers. Covers are evaluated in
-// bounded chunks — a large block has exponentially many covers, and the
-// sequential climb usually improves early, so speculation past the first
-// improvement is capped at one chunk. Within and across chunks the climb
-// takes the same first-improvement step as GreedyRefine (the earliest
-// cover in canonical order that improves), so the final partition, score,
-// and trace are bit-identical; Result.Evaluations may exceed the
-// sequential count by at most a chunk per step.
-func GreedyRefineParallel(e *Evaluator, seed partition.Partition) (*Result, error) {
-	workers := e.workers()
-	if workers <= 1 {
-		return GreedyRefine(e, seed)
-	}
-	chunk := workers * speculationPerWorker
-	start := e.Calls()
-	cur := seed
-	curScore, err := e.Score(cur)
-	if err != nil {
-		// Nothing evaluated (e.g. cancellation before the seed): an empty
-		// partial keeps the every-search-returns-a-partial contract.
-		return &Result{Score: -1, Evaluations: e.Calls() - start}, err
-	}
-	res := &Result{Best: cur, Score: curScore, Trace: []Step{{cur, curScore}}}
-	e.emit(EventCandidateEvaluated, cur, curScore, res)
-	pool := newScorePool(e) // after the seed Score, so the pool sees it
-	for {
-		cands := cur.LowerCovers()
-		improved := false
-		for off := 0; off < len(cands) && !improved; off += chunk {
-			end := off + chunk
-			if end > len(cands) {
-				end = len(cands)
-			}
-			scores, errs := pool.scoreAll(cands[off:end])
-			for i, s := range scores {
-				if err := errAt(errs, i); err != nil {
-					pool.finish()
-					res.Best, res.Score = cur, curScore
-					res.Evaluations = e.Calls() - start
-					return res, err
-				}
-				res.Trace = append(res.Trace, Step{cands[off+i], s})
-				// Advance the incumbent before emitting, so the candidate
-				// event carries the post-event best (the Event contract).
-				if s > curScore+1e-12 {
-					cur, curScore = cands[off+i], s
-					res.Best, res.Score = cur, curScore
-					improved = true
-				}
-				e.emit(EventCandidateEvaluated, cands[off+i], s, res)
-				if improved {
-					e.emit(EventBestImproved, cands[off+i], s, res)
-					break // first-improvement descent, in canonical cover order
-				}
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	pool.finish()
-	res.Best = cur
-	res.Score = curScore
-	res.Evaluations = e.Calls() - start
-	return res, nil
-}
-
-// speculationPerWorker sizes the per-worker lookahead of
-// GreedyRefineParallel's cover chunks: enough work to keep every worker
-// busy, small enough that an early first improvement wastes little.
+// speculationPerWorker sizes the per-worker lookahead of an in-process
+// early-stopping walk: enough work to keep every worker busy, small
+// enough that an early stop wastes little.
 const speculationPerWorker = 4

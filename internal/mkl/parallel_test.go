@@ -25,7 +25,7 @@ func TestChainSearchParallelDeterminism(t *testing.T) {
 	d := parallelTestData(t, 60, 7)
 	seed := partition.Coarsest(d.D())
 	for _, obj := range []Objective{KernelAlignment, CVAccuracy} {
-		eSeq, err := NewEvaluator(d, Config{Objective: obj, Seed: 3})
+		eSeq, err := NewEvaluator(d, Config{Objective: obj, Seed: 3, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestChainSearchParallelDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ChainSearchParallel(ePar, seed, BestOfChain)
+			got, err := ChainSearch(ePar, seed, BestOfChain)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestChainSearchParallelDeterminism(t *testing.T) {
 func TestChainSearchParallelFirstImprovementDeterminism(t *testing.T) {
 	d := parallelTestData(t, 60, 11)
 	seed := partition.Coarsest(d.D())
-	eSeq, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 5})
+	eSeq, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 5, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestChainSearchParallelFirstImprovementDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ChainSearchParallel(ePar, seed, FirstImprovement)
+		got, err := ChainSearch(ePar, seed, FirstImprovement)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestExhaustiveConeParallelDeterminism(t *testing.T) {
 	// Small feature count so the Bell(m) cone stays cheap.
 	d := parallelTestDataDim(t, 6, 50, 13)
 	seed := partition.Coarsest(d.D())
-	eSeq, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 1})
+	eSeq, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 1, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestExhaustiveConeParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ExhaustiveConeParallel(ePar, seed)
+		got, err := ExhaustiveCone(ePar, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestGreedyRefineParallelDeterminism(t *testing.T) {
 	// two-way splits of the coarsest block.
 	d := parallelTestDataDim(t, 8, 50, 17)
 	seed := partition.Coarsest(d.D())
-	eSeq, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 9})
+	eSeq, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 9, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestGreedyRefineParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := GreedyRefineParallel(ePar, seed)
+		got, err := GreedyRefine(ePar, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestParallelSearchFromMultipleSeedsConcurrently(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			results[i], errs[i] = ChainSearchParallel(e, s, BestOfChain)
+			results[i], errs[i] = ChainSearch(e, s, BestOfChain)
 		}(i, s)
 	}
 	wg.Wait()
@@ -227,7 +227,7 @@ func TestParallelSearchFromMultipleSeedsConcurrently(t *testing.T) {
 			t.Fatalf("seed %d: %v", i, errs[i])
 		}
 		// Each concurrent search must match its own sequential reference.
-		e, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 2})
+		e, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 2, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

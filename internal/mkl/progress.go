@@ -3,9 +3,9 @@
 // stream of Events — one per candidate evaluated, plus markers for seeding,
 // best-so-far improvements, and search completion. The callback runs on the
 // goroutine driving the search (never on a scratch worker), so consumers
-// need no synchronization; parallel strategies emit their batch's events in
-// canonical candidate order during the deterministic reduction, so the
-// event stream is identical at every worker count.
+// need no synchronization. Strategies emit their events in canonical
+// candidate order during the deterministic reduction, so the event stream
+// is identical at every worker count and for every scorer.
 package mkl
 
 import (

@@ -42,8 +42,8 @@ func record(ev Event) eventRecord {
 
 // TestProgressStreamDeterministicAcrossWorkers: the event stream of a chain
 // search — kinds, partitions, scores, best-so-far state, in order — is
-// identical at every worker count, because parallel strategies emit from
-// the canonical-order reduction.
+// identical at every worker count, because strategies emit from the
+// canonical-order reduction.
 func TestProgressStreamDeterministicAcrossWorkers(t *testing.T) {
 	d := progressTestData(t)
 	seed := partition.Coarsest(d.D())
@@ -56,7 +56,7 @@ func TestProgressStreamDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ChainSearchParallel(e, seed, BestOfChain); err != nil {
+		if _, err := ChainSearch(e, seed, BestOfChain); err != nil {
 			t.Fatal(err)
 		}
 		return got
@@ -153,7 +153,7 @@ func TestSearchCancellationReturnsPartialResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := ChainSearchParallel(ref, seed, BestOfChain)
+	full, err := ChainSearch(ref, seed, BestOfChain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSearchCancellationReturnsPartialResult(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.SetContext(ctx)
-			res, err := ChainSearchParallel(e, seed, BestOfChain)
+			res, err := ChainSearch(e, seed, BestOfChain)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}

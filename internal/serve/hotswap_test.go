@@ -9,10 +9,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/kernel"
 	"repro/internal/model"
 )
 
@@ -267,9 +269,11 @@ func TestWatcherRetiresVanishedModel(t *testing.T) {
 	}
 }
 
-// TestWatcherSurvivesBadArtifact: a corrupt write is skipped and counted —
+// TestWatcherSurvivesBadArtifact: a bad write is skipped and counted —
 // the previous generation keeps serving — and a subsequent good write
-// swaps in normally.
+// swaps in normally. Two kinds of bad write: bytes that are no artifact,
+// and a valid artifact whose warm-up probe scores non-finite (the golden
+// training rows under a degree-400 polynomial kernel, γ=50, coef0=10).
 func TestWatcherSurvivesBadArtifact(t *testing.T) {
 	artA := testArtifactSeed(t, 11)
 	artB := testArtifactSeed(t, 23)
@@ -288,26 +292,44 @@ func TestWatcherSurvivesBadArtifact(t *testing.T) {
 	wantA := offlineScores(t, artA, q)[0]
 	wantB := offlineScores(t, artB, q)[0]
 
-	// Corrupt the artifact in place.
-	if err := os.WriteFile(path, []byte("not an artifact"), 0o644); err != nil {
+	nonFinite, err := model.LoadFile(filepath.Join("..", "model", "testdata", "golden-ridge-linear.iotml"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	nonFinite.KernelSpec = &kernel.Spec{Kind: kernel.SpecPolynomial, Degree: 400, Gamma: 50, Coef0: 10}
+
 	deadline := time.Now().Add(5 * time.Second)
-	for s.reloadErrors.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("corrupt artifact never surfaced as a reload error")
+	for _, bad := range []struct {
+		name  string
+		write func()
+		// marker identifies this input's failure in last_reload_error.
+		marker string
+	}{
+		{"corrupt bytes", func() {
+			if err := os.WriteFile(path, []byte("not an artifact"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "loading " + path},
+		{"non-finite generation", func() { saveAtomic(t, nonFinite, path) }, model.ErrNonFiniteScore.Error()},
+	} {
+		before := s.reloadErrors.Load()
+		bad.write()
+		for s.reloadErrors.Load() == before || !strings.Contains(s.lastReloadError(), bad.marker) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never surfaced as a reload error (last: %q)", bad.name, s.lastReloadError())
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	got, err := s.ScoreBatch("m", q)
-	if err != nil {
-		t.Fatalf("old generation stopped serving after a corrupt write: %v", err)
-	}
-	if math.Float64bits(got[0]) != math.Float64bits(wantA) {
-		t.Fatalf("score %v after corrupt write, want A's %v", got[0], wantA)
-	}
-	if s.lastReloadError() == "" {
-		t.Fatal("last reload error not recorded")
+		if !strings.Contains(s.lastReloadError(), path) {
+			t.Fatalf("%s: last reload error %q does not name %s", bad.name, s.lastReloadError(), path)
+		}
+		got, err := s.ScoreBatch("m", q)
+		if err != nil {
+			t.Fatalf("old generation stopped serving after %s: %v", bad.name, err)
+		}
+		if math.Float64bits(got[0]) != math.Float64bits(wantA) {
+			t.Fatalf("score %v after %s, want A's %v", got[0], bad.name, wantA)
+		}
 	}
 
 	// A good artifact recovers.

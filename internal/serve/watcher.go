@@ -9,7 +9,8 @@
 // (cp --preserve, rsync) from triggering a spurious swap. Files that
 // appear are registered; files that vanish are retired (their pipelines
 // drain). A file that fails to load — mid-write, truncated, wrong format
-// version — is skipped, counted in reload_errors, and retried on the next
+// version — or whose warm-up probe (its first training row) scores
+// non-finite is skipped, counted in reload_errors, and retried on the next
 // poll while the previous model generation keeps serving.
 
 package serve
@@ -90,11 +91,29 @@ func (s *Server) reconcileFile(f string) error {
 		s.stamps[f] = stamp
 		return nil
 	}
+	if err := probeArtifact(art); err != nil {
+		return fmt.Errorf("serve: refusing %s: %w", f, err)
+	}
 	if err := s.reg.load(id, art, f); err != nil {
 		return fmt.Errorf("serve: swapping %s: %w", f, err)
 	}
 	s.stamps[f] = stamp
 	return nil
+}
+
+// probeArtifact scores the artifact's first training row before it may
+// replace a serving generation. A valid artifact can still overflow to
+// non-finite scores (a high-degree polynomial spec, say); such a
+// generation would answer every predict with an error, so the watcher
+// refuses it — model.ErrNonFiniteScore — and the old generation keeps
+// serving.
+func probeArtifact(art *model.Artifact) error {
+	p, err := model.NewPredictor(art)
+	if err != nil {
+		return err
+	}
+	_, err = p.Scores([][]float64{art.TrainX.Row(0)})
+	return err
 }
 
 // watch is the polling goroutine started by New when WithModelDir is set.

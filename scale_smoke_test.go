@@ -75,7 +75,7 @@ func TestScaleSmoke_Nystrom10k(t *testing.T) {
 
 	start := time.Now()
 	res, err := mkl.BudgetedSearch(approx, exact, seed, func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
-		return mkl.ChainSearchParallel(e, s, mkl.BestOfChain)
+		return mkl.ChainSearch(e, s, mkl.BestOfChain)
 	}, topK)
 	if err != nil {
 		t.Fatal(err)
@@ -114,18 +114,20 @@ func TestScaleSmoke_Budgeted1kSpeedup(t *testing.T) {
 	d := gramApproxData(n)
 	seed := partition.Coarsest(d.D())
 
-	// Budgeted phase first, exact reference second, with a forced GC at
+	// Both phases score sequentially, so the ratio compares the two
+	// engines rather than their parallel scaling. Budgeted phase first,
+	// exact reference second, with a forced GC at
 	// the phase boundary: both phases then start from a settled heap
 	// instead of the second inheriting the first one's GC debt (which
 	// skews the ratio either way on small absolute times).
 	approx, err := mkl.NewEvaluator(d, mkl.Config{
-		Objective: mkl.CVAccuracy, Seed: 1,
+		Objective: mkl.CVAccuracy, Seed: 1, Parallelism: 1,
 		GramMode: mkl.GramNystrom, GramRank: rank,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := mkl.NewEvaluator(d, mkl.Config{Objective: mkl.CVAccuracy, Seed: 1})
+	exact, err := mkl.NewEvaluator(d, mkl.Config{Objective: mkl.CVAccuracy, Seed: 1, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestScaleSmoke_Budgeted1kSpeedup(t *testing.T) {
 	}
 	budgetWall := time.Since(t0)
 
-	exactRef, err := mkl.NewEvaluator(d, mkl.Config{Objective: mkl.CVAccuracy, Seed: 1})
+	exactRef, err := mkl.NewEvaluator(d, mkl.Config{Objective: mkl.CVAccuracy, Seed: 1, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
