@@ -93,7 +93,7 @@ short:
 # suites pin the bit-identity contracts under concurrency, which is exactly
 # where the race detector earns its keep. The rest of the tree stays on
 # -short so the target finishes in CI time.
-RACE_FULL_PKGS := ./internal/mkl ./internal/parsearch ./internal/distsearch ./internal/engine ./internal/serve
+RACE_FULL_PKGS := ./internal/mkl ./internal/parsearch ./internal/distsearch ./internal/kernel ./internal/engine ./internal/serve
 
 race:
 	$(GO) test -race -short ./...
@@ -105,7 +105,7 @@ race:
 # package's testdata/fuzz corpus, where the regular suite replays them.
 # Mirrors the CI fuzz-smoke job.
 FUZZTIME ?= 10s
-FUZZ_TARGETS := ./internal/partition:FuzzParse ./internal/dataset:FuzzReadCSV ./internal/dataset:FuzzReadJSONL
+FUZZ_TARGETS := ./internal/partition:FuzzParse ./internal/dataset:FuzzReadCSV ./internal/dataset:FuzzReadJSONL ./internal/serve:FuzzPredictBody
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -198,8 +198,10 @@ func WithGramApprox(mode GramMode, rank int) Option {
 // Gram backend: the whole lattice is scored with the cheap approximation
 // and only the topK best distinct candidates are re-scored exactly, with
 // the exact scores deciding the final selection (see mkl.BudgetedSearch).
-// Values <= 0 disable re-scoring; without WithGramApprox the option has no
-// effect.
+// Values <= 0 disable re-scoring. The option takes effect only with an
+// approximate backend — WithBackend(NystromBackend(r)) or
+// WithBackend(RFFBackend(r)), or the deprecated WithGramApprox spelling of
+// them; under the exact or float32 backend it has no effect.
 func WithBudget(topK int) Option {
 	return func(c *core.FitConfig) { c.MKL.BudgetTopK = topK }
 }

@@ -179,7 +179,7 @@ func chainKey(e ast.Expr) (string, bool) {
 // checkBoxing reports when a concrete float value or float slice is
 // converted to an interface-typed destination.
 func checkBoxing(pass *analyzers.Pass, dst types.Type, src ast.Expr, hot string) {
-	if dst == nil || !types.IsInterface(dst) {
+	if dst == nil || !types.IsInterface(dst) || typeSetParam(dst) {
 		return
 	}
 	st := pass.Info.TypeOf(src)
@@ -188,6 +188,19 @@ func checkBoxing(pass *analyzers.Pass, dst types.Type, src ast.Expr, hot string)
 	}
 	pass.Reportf(src.Pos(),
 		"boxes %s into an interface inside //iotml:hotpath function %s (allocates per value); keep float data concrete", st.String(), hot)
+}
+
+// typeSetParam reports a type parameter constrained by a type set
+// (float32 | float64, say): every type it can stand for is concrete, so a
+// value stored in it is never boxed. A parameter constrained only by
+// methods (any) may stand for an interface and is still checked.
+func typeSetParam(t types.Type) bool {
+	tp, ok := t.(*types.TypeParam)
+	if !ok {
+		return false
+	}
+	iface, ok := tp.Constraint().Underlying().(*types.Interface)
+	return ok && !iface.IsMethodSet()
 }
 
 // isFloaty reports float scalars and float slices — the payload types the

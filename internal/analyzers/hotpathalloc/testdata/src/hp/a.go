@@ -72,6 +72,14 @@ func hotAllowed(x []float64) float64 {
 	return x[0]
 }
 
+// hotGeneric stores float64 into a type parameter constrained by a float
+// type set: the value stays concrete, nothing is boxed.
+//
+//iotml:hotpath
+func hotGeneric[T float32 | float64](out []T, acc float64) {
+	out[0] = T(acc)
+}
+
 // cold is unannotated: the same constructs pass.
 func cold(dst, src []float64, n int) []float64 {
 	dst = append(dst, src...)

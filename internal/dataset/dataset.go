@@ -110,8 +110,9 @@ func (d *Dataset) Matrix() *linalg.Matrix {
 // BlockMatrix returns the contiguous n×len(features) column block of the
 // given 0-based feature indices. Materializing a block once per dataset —
 // instead of re-slicing per instance pair — is what lets block kernels run
-// as dense matrix operations (see kernel.BlockGramKernel); searches cache
-// these blocks alongside the per-block Grams in kernel.BlockGramCache.
+// as dense matrix operations (see kernel.BlockGramKernel). It serves
+// uncached one-off Grams; the block caches keep their column blocks in a
+// kernel.BlockStore beside the per-block Grams or factors.
 func (d *Dataset) BlockMatrix(features []int) *linalg.Matrix {
 	return linalg.FromRowsCols(d.X, features)
 }

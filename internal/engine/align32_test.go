@@ -73,7 +73,8 @@ func TestDense32RBFBlockBitIdenticalToThreePass(t *testing.T) {
 			feats[i] = (i*3 + w) % d
 		}
 		got := c.BlockGram(feats)
-		want := rbfGram32ThreePass(c.blockMatrix(feats), base/float64(w))
+		xb, _ := c.cols.Block(feats)
+		want := rbfGram32ThreePass(xb, base/float64(w))
 		for i := range want.Data {
 			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 				t.Fatalf("width %d entry (%d,%d): one-pass %v, three-pass %v", w, i/n, i%n, got.Data[i], want.Data[i])

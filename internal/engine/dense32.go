@@ -1,8 +1,8 @@
 // Dense32 is the Float32 backend's Gram assembly: a concurrency-safe
-// per-block float32 Gram cache mirroring kernel.BlockGramCache (same block
-// keys, same FIFO retention semantics, same combine order), plus the
-// worker-owned assembly scratch and ridge solver the evaluator threads
-// through it.
+// per-block float32 Gram cache kept in a kernel.BlockStore — the store of
+// kernel.BlockGramCache, with the same block keys, FIFO retention and
+// partition scan, and the same kernel.CombineBlocks assembly — plus the
+// worker-owned ridge solver the evaluator threads through it.
 //
 // Determinism: each block Gram is produced by one deterministic routine
 // over the cached float32 column block — two workers racing on a cold
@@ -14,8 +14,6 @@ package engine
 
 import (
 	"math"
-	"strconv"
-	"sync"
 
 	"repro/internal/kernel"
 	"repro/internal/linalg"
@@ -23,144 +21,78 @@ import (
 )
 
 // Dense32 memoizes per-block float32 Gram matrices for one fixed dataset
-// and block-kernel factory. Safe for concurrent use; cached matrices are
+// and block-kernel factory, beside a store of the float32 column blocks
+// feeding the native routines — the dataset is narrowed to f32 once per
+// block, not per candidate. Safe for concurrent use; cached matrices are
 // shared read-only and must be combined into a separate output buffer.
 type Dense32 struct {
 	x       [][]float64
 	factory kernel.BlockKernelFactory
-	limit   int
-
-	mu sync.RWMutex
-	// order tracks insertion order of the Gram map's keys for FIFO
-	// eviction once limit is exceeded.
-	order []string
-	m     map[string]*M32
-	// xm caches the contiguous float32 column blocks feeding the
-	// vectorized routines — the dataset is narrowed to f32 once per block,
-	// not per candidate.
-	xm map[string]*M32
+	grams   *kernel.BlockStore[*M32, float32]
+	cols    *kernel.BlockStore[*M32, float32]
 }
 
 // NewDense32 returns a float32 block-Gram cache over dataset rows x using
-// factory to build each block kernel. limit follows
-// kernel.NewBlockGramCache: 0 selects kernel.DefaultGramCacheBlocks,
-// negative disables retention (every block is recomputed).
+// factory to build each block kernel. limit follows kernel.NewBlockStore:
+// 0 selects kernel.DefaultGramCacheBlocks, negative disables retention
+// (every block is recomputed).
 func NewDense32(x [][]float64, factory kernel.BlockKernelFactory, limit int) *Dense32 {
-	if limit == 0 {
-		limit = kernel.DefaultGramCacheBlocks
-	}
-	return &Dense32{
-		x: x, factory: factory, limit: limit,
-		m:  map[string]*M32{},
-		xm: map[string]*M32{},
-	}
+	c := &Dense32{x: x, factory: factory}
+	c.grams = kernel.NewBlockStore(limit, c.buildGram, m32Data)
+	c.cols = kernel.NewBlockStore(limit, func(feats []int) (*M32, error) {
+		sub := NewM32(len(x), len(feats))
+		for i, r := range x {
+			dstRow := sub.Data[i*len(feats) : (i+1)*len(feats)]
+			for k, f := range feats {
+				dstRow[k] = float32(r[f])
+			}
+		}
+		return sub, nil
+	}, m32Data)
+	return c
 }
 
-// blockMatrix returns the contiguous float32 column block of the given
-// 0-based feature indices, extracting and caching it on first use.
-func (c *Dense32) blockMatrix(feats []int) *M32 {
-	key := blockKey32(feats)
-	c.mu.RLock()
-	sub, ok := c.xm[key]
-	c.mu.RUnlock()
-	if ok {
-		return sub
-	}
-	sub = NewM32(len(c.x), len(feats))
-	for i, r := range c.x {
-		dstRow := sub.Data[i*len(feats) : (i+1)*len(feats)]
-		for k, f := range feats {
-			dstRow[k] = float32(r[f])
-		}
-	}
-	c.mu.Lock()
-	if prev, ok := c.xm[key]; ok {
-		sub = prev
-	} else if len(c.xm) < c.limit {
-		c.xm[key] = sub
-	}
-	c.mu.Unlock()
-	return sub
-}
+// m32Data exposes a matrix's entries to a kernel.BlockStore.
+func m32Data(m *M32) []float32 { return m.Data }
 
-// blockKey32 fingerprints a block by its sorted 0-based feature indices —
-// the same canonical key format as the float64 cache.
-func blockKey32(feats []int) string {
-	buf := make([]byte, 0, 4*len(feats))
-	for i, f := range feats {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendInt(buf, int64(f), 10)
-	}
-	return string(buf)
-}
+// Len reports how many block Grams are currently cached.
+func (c *Dense32) Len() int { return c.grams.Len() }
 
 // BlockGram returns the float32 Gram matrix of the block kernel on the
 // given 0-based feature indices, computing and caching it on first use.
 // The returned matrix is shared and must not be mutated.
 func (c *Dense32) BlockGram(feats []int) *M32 {
-	return c.blockGram([]byte(blockKey32(feats)), feats)
-}
-
-// blockGram is BlockGram keyed by a caller-owned byte fingerprint, so the
-// hot cache-hit path allocates nothing (the no-alloc map[string] byte-slice
-// lookup, as in kernel.BlockGramCache.blockGram).
-func (c *Dense32) blockGram(key []byte, feats []int) *M32 {
-	c.mu.RLock()
-	g, ok := c.m[string(key)]
-	c.mu.RUnlock()
-	if ok {
-		return g
-	}
-	// Compute outside the lock on a private copy of feats (factories retain
-	// their feature slice; feats may be caller-reused scratch). Racing
-	// workers compute identical blocks and the first store wins.
-	feats = append([]int(nil), feats...)
-	g = c.computeBlock(c.factory(feats), feats)
-	c.mu.Lock()
-	if prev, ok := c.m[string(key)]; ok {
-		g = prev
-	} else if c.limit > 0 {
-		ks := string(key)
-		c.m[ks] = g
-		c.order = append(c.order, ks)
-		for len(c.order) > 1 && len(c.m) > c.limit {
-			old := c.order[0]
-			c.order = c.order[1:]
-			delete(c.m, old)
-		}
-	}
-	c.mu.Unlock()
+	g, _ := c.grams.Block(feats) // buildGram cannot fail
 	return g
 }
 
-// computeBlock builds one block's float32 Gram: the elementary kernels run
-// natively in f32 storage / f64 accumulation over the cached float32
-// column block; kernels without a native f32 routine fall back to the
-// scalar float64 reference and truncate once per entry — still within the
-// tolerance contract, just without the memory-traffic win.
-func (c *Dense32) computeBlock(base kernel.Kernel, feats []int) *M32 {
+// buildGram builds one block's float32 Gram for the store: the elementary
+// kernels run natively in f32 storage / f64 accumulation over the cached
+// float32 column block; kernels without a native f32 routine fall back to
+// the scalar float64 reference and truncate once per entry — still within
+// the tolerance contract, just without the memory-traffic win.
+func (c *Dense32) buildGram(feats []int) (*M32, error) {
+	base := c.factory(feats)
 	out := NewM32(len(c.x), len(c.x))
-	if c.gramInto32(out, base, feats) {
-		return out
+	x, _ := c.cols.Block(feats) // extraction cannot fail
+	if gramInto32(out, base, x) {
+		return out, nil
 	}
 	g := kernel.GramPairwise(kernel.Subspace{Base: base, Features: feats}, c.x)
-	return From64(out, g)
+	return From64(out, g), nil
 }
 
-// gramInto32 fills dst with the block kernel's Gram through the native f32
-// routines, reporting false (dst unspecified) when the kernel type has no
-// native path.
+// gramInto32 fills dst with the block kernel's Gram over the float32
+// column block x through the native f32 routines, reporting false (dst
+// unspecified) when the kernel type has no native path.
 //
 //iotml:hotpath
-func (c *Dense32) gramInto32(dst *M32, k kernel.Kernel, feats []int) bool {
+func gramInto32(dst *M32, k kernel.Kernel, x *M32) bool {
 	switch kk := k.(type) {
 	case kernel.Linear:
-		Syrk32(dst, c.blockMatrix(feats))
+		Syrk32(dst, x)
 		return true
 	case kernel.Polynomial:
-		x := c.blockMatrix(feats)
 		Syrk32(dst, x)
 		n := x.Rows
 		deg := float64(kk.Degree)
@@ -177,7 +109,6 @@ func (c *Dense32) gramInto32(dst *M32, k kernel.Kernel, feats []int) bool {
 		// then rounded to float32, exp — then a banded mirror: the same
 		// expressions in the same order as the pairwise-distance-then-exp
 		// build, so the block is bit-identical to it.
-		x := c.blockMatrix(feats)
 		n, d := x.Rows, x.Cols
 		norms := make([]float64, n)
 		for i := 0; i < n; i++ {
@@ -207,7 +138,7 @@ func (c *Dense32) gramInto32(dst *M32, k kernel.Kernel, feats []int) bool {
 		linalg.MirrorUpper(dst.Data, n)
 		return true
 	case kernel.Normalized:
-		if !c.gramInto32(dst, kk.Base, feats) {
+		if !gramInto32(dst, kk.Base, x) {
 			return false
 		}
 		n := dst.Rows
@@ -235,70 +166,22 @@ func (c *Dense32) gramInto32(dst *M32, k kernel.Kernel, feats []int) bool {
 // GramForPartitionScratch and AlignmentForPartitionScratch. The zero value
 // is ready; a scratch belongs to one goroutine — each worker evaluator owns
 // its own while sharing the concurrency-safe cache.
-type Scratch32 struct {
-	feats  []int
-	keyBuf []byte
-	grams  []*M32
-	data   [][]float32
-}
-
-// partitionBlocks gathers the cached float32 Gram of every block of p into
-// sc.grams in partition.Blocks() order, allocation-free once every block
-// is cached (the RGS scan and byte-slice keys of the float64 cache).
-//
-//iotml:hotpath
-func (c *Dense32) partitionBlocks(p partition.Partition, sc *Scratch32) []*M32 {
-	d := p.N()
-	sc.grams = sc.grams[:0]
-	for b := 0; b < p.NumBlocks(); b++ {
-		sc.feats = sc.feats[:0]
-		for e := 1; e <= d; e++ {
-			if p.BlockOf(e) == b {
-				sc.feats = append(sc.feats, e-1)
-			}
-		}
-		sc.keyBuf = sc.keyBuf[:0]
-		for i, f := range sc.feats {
-			if i > 0 {
-				sc.keyBuf = append(sc.keyBuf, ',')
-			}
-			sc.keyBuf = strconv.AppendInt(sc.keyBuf, int64(f), 10)
-		}
-		sc.grams = append(sc.grams, c.blockGram(sc.keyBuf, sc.feats))
-	}
-	return sc.grams
-}
+type Scratch32 = kernel.BlockScratch[*M32, float32]
 
 // GramForPartitionScratch assembles the full float32 Gram of the
 // multiple-kernel configuration induced by p from the cached per-block
-// Grams, writing into out (reshaped) and returning it. Blocks are combined
-// in partition.Blocks() order with float64 per-entry accumulation —
-// weighted sum with weight 1/numBlocks, or product — mirroring the float64
-// cache's assembly so the two backends differ only by f32 rounding.
+// Grams, writing into out (reshaped) and returning it. kernel.CombineBlocks
+// combines them in partition.Blocks() order with float64 per-entry
+// accumulation — weighted sum with weight 1/numBlocks, or product — the
+// float64 cache's assembly, so the two backends differ only by f32
+// rounding.
 //
 //iotml:hotpath
 func (c *Dense32) GramForPartitionScratch(p partition.Partition, combiner kernel.Combiner, out *M32, sc *Scratch32) *M32 {
 	n := len(c.x)
 	out = Reshape32(out, n, n)
-	grams := c.partitionBlocks(p, sc)
-	if combiner == kernel.CombineProduct {
-		for i := 0; i < n*n; i++ {
-			acc := 1.0
-			for _, g := range grams {
-				acc *= float64(g.Data[i])
-			}
-			out.Data[i] = float32(acc)
-		}
-		return out
-	}
-	w := 1 / float64(len(grams))
-	for i := 0; i < n*n; i++ {
-		acc := 0.0
-		for _, g := range grams {
-			acc += w * float64(g.Data[i])
-		}
-		out.Data[i] = float32(acc)
-	}
+	grams, _ := c.grams.Partition(p, sc) // buildGram cannot fail
+	kernel.CombineBlocks(out.Data, grams, combiner)
 	return out
 }
 
@@ -310,11 +193,8 @@ func (c *Dense32) GramForPartitionScratch(p partition.Partition, combiner kernel
 //
 //iotml:hotpath
 func (c *Dense32) AlignmentForPartitionScratch(p partition.Partition, y []int, sc *Scratch32, as *kernel.AlignScratch) float64 {
-	sc.data = sc.data[:0]
-	for _, g := range c.partitionBlocks(p, sc) {
-		sc.data = append(sc.data, g.Data)
-	}
-	return kernel.CenteredAlignment(sc.data, 1/float64(len(sc.data)), y, as)
+	grams, _ := c.grams.Partition(p, sc) // buildGram cannot fail
+	return kernel.CenteredAlignment(grams, 1/float64(len(grams)), y, as)
 }
 
 // Solver32 is the factor/solve scratch of the Float32 backend: one ridge

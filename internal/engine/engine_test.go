@@ -181,8 +181,8 @@ func TestDense32BlockCacheReusesAndEvicts(t *testing.T) {
 	}
 	c.BlockGram([]int{2})
 	c.BlockGram([]int{3}) // evicts {0,1} (FIFO, limit 2)
-	if len(c.m) > 2 {
-		t.Fatalf("cache holds %d blocks, limit 2", len(c.m))
+	if c.Len() > 2 {
+		t.Fatalf("cache holds %d blocks, limit 2", c.Len())
 	}
 	// Recomputation after eviction is bit-identical.
 	a2 := c.BlockGram([]int{0, 1})
@@ -194,7 +194,7 @@ func TestDense32BlockCacheReusesAndEvicts(t *testing.T) {
 	// Negative limit disables retention entirely.
 	nc := NewDense32(x, kernel.RBFFactory(1.0), -1)
 	nc.BlockGram([]int{0})
-	if len(nc.m) != 0 {
+	if nc.Len() != 0 {
 		t.Fatal("negative limit must not retain blocks")
 	}
 }

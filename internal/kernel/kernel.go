@@ -7,8 +7,10 @@
 // Gram matrices are built through a vectorized block engine when the
 // kernel supports it (see BlockGramKernel in blockgram.go, including the
 // determinism contract) and through the scalar per-pair Eval loop
-// otherwise; per-block Grams and column blocks are cached across search
-// candidates by BlockGramCache (gramcache.go).
+// otherwise. Per-block Grams, low-rank factors and column blocks are
+// cached across search candidates in one BlockStore (blockstore.go), used by
+// BlockGramCache (gramcache.go), ApproxGramCache (approx.go) and the
+// float32 engine.Dense32.
 package kernel
 
 import (

@@ -130,10 +130,12 @@ type Config struct {
 	// kernel.DefaultApproxRank; ignored under GramExact.
 	GramRank int
 
-	// BudgetTopK, with an approximate GramMode, enables the budgeted
-	// search mode at the core.Fit layer: the lattice is scored with the
-	// cheap approximation and only the top-K survivors are re-scored
-	// exactly (see BudgetedSearch). 0 disables re-scoring.
+	// BudgetTopK, with an approximate backend (engine.Nystrom or
+	// engine.RFF, or the deprecated approximate GramMode spelling of
+	// them), enables the budgeted search mode at the core.Fit layer: the
+	// lattice is scored with the cheap approximation and only the top-K
+	// survivors are re-scored exactly (see BudgetedSearch). 0 disables
+	// re-scoring; under an exact or float32 backend it has no effect.
 	BudgetTopK int
 
 	// ExactGram forces every Gram matrix through the scalar pairwise Eval

@@ -22,7 +22,7 @@ import (
 
 // testArtifact fits a small deterministic model directly (no lattice
 // search — the serving layer is agnostic to how the fit was selected).
-func testArtifact(t *testing.T) *model.Artifact {
+func testArtifact(t testing.TB) *model.Artifact {
 	t.Helper()
 	return testArtifactSeed(t, 11)
 }
@@ -30,7 +30,7 @@ func testArtifact(t *testing.T) *model.Artifact {
 // testArtifactSeed fits a model from a seed-determined dataset; different
 // seeds yield models with different coefficients (and so different scores
 // and fingerprints) — the raw material of the hot-swap tests.
-func testArtifactSeed(t *testing.T, seed int64) *model.Artifact {
+func testArtifactSeed(t testing.TB, seed int64) *model.Artifact {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := dataset.BiometricConfig{N: 36, FacePerDim: 2, Noise: 0.8, IrrelevantSD: 1, NoiseFeatures: 2}
@@ -63,7 +63,7 @@ func testArtifactSeed(t *testing.T, seed int64) *model.Artifact {
 
 // newTestServer builds a single-model server (id "default", auto-resolved
 // as the default model) plus an httptest listener over its Handler.
-func newTestServer(t *testing.T, opts ...Option) (*Server, *httptest.Server, *model.Artifact) {
+func newTestServer(t testing.TB, opts ...Option) (*Server, *httptest.Server, *model.Artifact) {
 	t.Helper()
 	art := testArtifact(t)
 	reg := NewRegistry()
